@@ -127,9 +127,16 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
 
   BackendProbs<Num> probs(instance.probs());
   std::vector<std::vector<Num>> f(n);
+  std::vector<Num> absent;  // per spine child: (1-p)·f[c][0], s-invariant
   for (size_t idx = forest.bfs_order.size(); idx-- > 0;) {
     VertexId v = forest.bfs_order[idx];
     if (!match_below[v]) continue;  // f[v][s] == 1 for all s
+    absent.clear();
+    for (EdgeId e : g.OutEdges(v)) {
+      VertexId c = g.edge(e).dst;
+      if (!match_below[c]) continue;  // contributes p·1 + (1-p)·1 = 1
+      absent.push_back(Ops::Complement(probs[e]) * f[c][0]);
+    }
     f[v].assign(m + 1, Ops::One());
     for (uint32_t s = 0; s <= m; ++s) {
       if (match[v] && s == m) {
@@ -137,12 +144,12 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
         continue;
       }
       Num value = Ops::One();
+      size_t child = 0;
       for (EdgeId e : g.OutEdges(v)) {
         VertexId c = g.edge(e).dst;
-        if (!match_below[c]) continue;  // contributes p·1 + (1-p)·1 = 1
-        const Num& p = probs[e];
+        if (!match_below[c]) continue;
         uint32_t s_present = std::min(m, s + 1);
-        value *= p * f[c][s_present] + Ops::Complement(p) * f[c][0];
+        value *= probs[e] * f[c][s_present] + absent[child++];
       }
       f[v][s] = std::move(value);
     }

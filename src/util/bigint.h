@@ -14,6 +14,14 @@
 /// as exact rationals (e.g. hardness reductions recover integer counts as
 /// Pr · 2^m), so the whole library computes with exact arithmetic built on
 /// this type. Representation: sign + little-endian base-2^32 magnitude.
+///
+/// Algorithms: schoolbook multiplication; division by Knuth's Algorithm D
+/// (TAOCP 4.3.1) for multi-limb divisors, a single-limb loop for one-limb
+/// divisors and shift-and-mask for powers of two (every dyadic probability
+/// k/2^j divides that way); binary gcd (Stein) in place on two limb
+/// vectors, finishing with one remainder and a uint64_t loop once either
+/// operand fits in two limbs; correctly rounded (round-half-to-even)
+/// conversion to double.
 
 namespace phom {
 
@@ -28,15 +36,17 @@ class BigInt {
   /// Returns 2^exponent.
   static BigInt Pow2(uint64_t exponent);
   /// Greatest common divisor of |a| and |b| (binary GCD; Gcd(0,0) == 0).
+  /// No per-step allocation; the operands are copied once unless one is a
+  /// power of two.
   static BigInt Gcd(const BigInt& a, const BigInt& b);
 
   bool is_zero() const { return sign_ == 0; }
+  bool is_one() const { return sign_ > 0 && mag_.size() == 1 && mag_[0] == 1; }
   bool is_negative() const { return sign_ < 0; }
   /// -1, 0 or +1.
   int sign() const { return sign_; }
 
   BigInt Abs() const;
-  BigInt Negated() const;
 
   /// Number of bits in the magnitude (0 for zero).
   uint64_t BitLength() const;
@@ -57,13 +67,15 @@ class BigInt {
   BigInt operator/(const BigInt& other) const;
   /// Remainder with the sign of the dividend (C++ semantics).
   BigInt operator%(const BigInt& other) const;
-  BigInt operator-() const { return Negated(); }
+  BigInt operator-() const { return BigInt(-sign_, mag_); }
 
-  BigInt& operator+=(const BigInt& other) { return *this = *this + other; }
-  BigInt& operator-=(const BigInt& other) { return *this = *this - other; }
-  BigInt& operator*=(const BigInt& other) { return *this = *this * other; }
+  /// In place: no temporary BigInt, and the limbs are reused when they fit.
+  BigInt& operator+=(const BigInt& other) { return AddSigned(other, other.sign_); }
+  BigInt& operator-=(const BigInt& other) { return AddSigned(other, -other.sign_); }
+  BigInt& operator*=(const BigInt& other);
 
-  /// Computes both quotient (toward zero) and remainder at once.
+  /// Computes both quotient (toward zero) and remainder at once. The outputs
+  /// may alias *this or `divisor`.
   void DivMod(const BigInt& divisor, BigInt* quotient, BigInt* remainder) const;
 
   /// Three-way comparison: negative, zero or positive.
@@ -77,7 +89,7 @@ class BigInt {
 
   /// Decimal rendering, e.g. "-1234".
   std::string ToString() const;
-  /// Nearest double (may overflow to +/-inf for huge values).
+  /// Nearest double, ties to even (+/-inf beyond the double range).
   double ToDouble() const;
   /// Value as int64_t if it fits, nullopt otherwise.
   std::optional<int64_t> ToInt64() const;
@@ -85,22 +97,29 @@ class BigInt {
   size_t Hash() const;
 
  private:
-  static std::vector<uint32_t> AddMag(const std::vector<uint32_t>& a,
-                                      const std::vector<uint32_t>& b);
-  /// Requires |a| >= |b| as magnitudes.
-  static std::vector<uint32_t> SubMag(const std::vector<uint32_t>& a,
-                                      const std::vector<uint32_t>& b);
-  static std::vector<uint32_t> MulMag(const std::vector<uint32_t>& a,
-                                      const std::vector<uint32_t>& b);
-  static int CompareMag(const std::vector<uint32_t>& a,
-                        const std::vector<uint32_t>& b);
-  static void Normalize(std::vector<uint32_t>* mag);
-  /// Divides magnitude by a single limb; returns remainder.
-  static uint32_t DivModSmall(std::vector<uint32_t>* mag, uint32_t divisor);
-  static void MulSmallAdd(std::vector<uint32_t>* mag, uint32_t factor,
-                          uint32_t addend);
+  using Mag = std::vector<uint32_t>;
 
-  BigInt(int sign, std::vector<uint32_t> mag);
+  /// *this += sign · |other|; `other` may be *this.
+  BigInt& AddSigned(const BigInt& other, int sign);
+
+  /// *a += b; `b` may alias *a.
+  static void AddMagInPlace(Mag* a, const Mag& b);
+  /// *a -= b; requires *a >= b as magnitudes. `b` may alias *a.
+  static void SubMagInPlace(Mag* a, const Mag& b);
+  /// *a = b - *a; requires b >= *a as magnitudes.
+  static void SubMagFromInPlace(Mag* a, const Mag& b);
+  static void ShiftRightMagInPlace(Mag* mag, uint64_t bits);
+  static uint64_t TrailingZeroBitsMag(const Mag& mag);
+  static Mag MulMag(const Mag& a, const Mag& b);
+  static int CompareMag(const Mag& a, const Mag& b);
+  static void Normalize(Mag* mag);
+  /// Divides magnitude by a single limb; returns remainder.
+  static uint32_t DivModSmall(Mag* mag, uint32_t divisor);
+  /// Knuth's Algorithm D: u = q·v + r for v of two or more limbs, u >= v.
+  static void DivModKnuth(const Mag& u, const Mag& v, Mag* q, Mag* r);
+  static void MulSmallAdd(Mag* mag, uint32_t factor, uint32_t addend);
+
+  BigInt(int sign, Mag mag);
 
   int sign_;                   // -1, 0, +1; 0 iff mag_ empty
   std::vector<uint32_t> mag_;  // little-endian limbs, no leading zero limb

@@ -116,12 +116,16 @@ struct NumericOps<IntervalDouble> {
     const double d = p.ToDouble();
     double lo = d;
     double hi = d;
-    // Widen outward until enclosure is PROVEN by exact comparison. ToDouble
-    // is within an ulp or two of correctly rounded, so each loop runs a
-    // handful of times at most; when d is exactly p the interval stays a
-    // point and exact-representable inputs (0, 1, dyadics) cost nothing.
-    while (Rational::FromDouble(lo) > p) lo = interval_internal::Down(lo);
-    while (Rational::FromDouble(hi) < p) hi = interval_internal::Up(hi);
+    // ToDouble is correctly rounded, so p lies between d and its neighbour
+    // on the side the exact comparison picks: one step widens the point to
+    // the tightest enclosure, and exactly representable inputs (0, 1,
+    // dyadics) stay points. The check proves the step was enough.
+    const int side = Rational::FromDouble(d).Compare(p);
+    if (side > 0) lo = interval_internal::Down(d);
+    if (side < 0) hi = interval_internal::Up(d);
+    PHOM_CHECK_MSG(side == 0 || (side > 0 ? Rational::FromDouble(lo) <= p
+                                          : Rational::FromDouble(hi) >= p),
+                   "Rational::ToDouble is not correctly rounded");
     return IntervalDouble(lo, hi).ClampedToUnit();
   }
   static IntervalDouble Complement(const IntervalDouble& x) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/util/bigint.h"
 #include "src/util/result.h"
@@ -11,6 +12,14 @@
 /// Exact rational numbers over BigInt. All probabilities in the library are
 /// Rationals, so computed answers are exact (tests compare with ==, and the
 /// #P-hardness reductions recover integer model counts via Pr * 2^m).
+///
+/// Values are kept in canonical form (gcd(num, den) == 1, den > 0), so any
+/// correct arithmetic yields the same representation. The operators follow
+/// Knuth, TAOCP 4.5.1: products cancel crosswise before multiplying,
+/// (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)) with g1 = gcd(a, d) and
+/// g2 = gcd(c, b); sums reduce through d1 = gcd(b, d); both results are
+/// reduced by construction. ToDouble is correctly rounded (half to even),
+/// subnormals included.
 
 namespace phom {
 
@@ -55,7 +64,7 @@ class Rational {
   Rational& operator/=(const Rational& o) { return *this = *this / o; }
 
   /// 1 - *this; the probability of the complementary event.
-  Rational Complement() const { return One() - *this; }
+  Rational Complement() const;
   Rational Pow(uint64_t exponent) const;
 
   int Compare(const Rational& other) const;
@@ -70,11 +79,19 @@ class Rational {
   std::string ToString() const;
   /// Truncated decimal expansion with `digits` fractional digits.
   std::string ToDecimalString(int digits) const;
+  /// Nearest double, ties to even (+/-inf beyond the double range).
   double ToDouble() const;
 
   size_t Hash() const;
 
  private:
+  struct Reduced {};
+  /// Trusts the caller: gcd(num, den) == 1 and den > 0.
+  Rational(BigInt num, BigInt den, Reduced)
+      : num_(std::move(num)), den_(std::move(den)) {}
+  /// *this + sign · other, sign = ±1.
+  Rational AddSigned(const Rational& other, int sign) const;
+
   BigInt num_;
   BigInt den_;  // always > 0
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -7,7 +8,9 @@
 #include "src/core/eval_session.h"
 #include "src/core/solver.h"
 #include "src/graph/builders.h"
+#include "src/graph/cq_parser.h"
 #include "src/graph/generators.h"
+#include "src/graph/io.h"
 #include "src/serve/executor.h"
 #include "src/util/interval_double.h"
 #include "src/util/numeric.h"
@@ -101,6 +104,36 @@ TEST(NumericIntervalOps, ZeroAndOneArePointsAndPredicatesAreConservative) {
   // A non-point interval straddling the endpoint is NOT claimed zero/one.
   EXPECT_FALSE(Ops::IsZero(IntervalDouble(0.0, 1e-300)));
   EXPECT_FALSE(Ops::IsOne(IntervalDouble(1.0 - 1e-15, 1.0)));
+}
+
+TEST(NumericIntervalOps, TinyInstanceProbabilityConvertsInOneStep) {
+  // 3/2^960 is a normal double. Conversion used to start from a ToDouble
+  // of 0 and climb one subnormal ulp at a time, which never finished; an
+  // instance file can supply the value, so the solve must still answer.
+  const std::string tiny = "3/" + BigInt::Pow2(960).ToString();
+  Alphabet alphabet;
+  Result<ProbGraph> instance =
+      ParseProbGraph("2 1\n0 1 R " + tiny + "\n", &alphabet);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  Result<ParsedQuery> query = ParseConjunctiveQuery("R(x, y)", &alphabet);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const Rational exact(BigInt(3), BigInt::Pow2(960));
+
+  SolveOptions options;
+  options.numeric = NumericBackend::kIntervalDouble;
+  Result<SolveResult> result = Solver(options).Solve(query->graph, *instance);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectEncloses(result->bound, exact, "3/2^960");
+  // The dyadic input itself converts to a point.
+  EXPECT_EQ(NumericOps<IntervalDouble>::From(exact),
+            IntervalDouble(std::ldexp(3.0, -960)));
+
+  // A non-dyadic neighbour widens by exactly one ulp.
+  const Rational third_tiny(BigInt(1), BigInt::Pow2(960) * BigInt(3));
+  const IntervalDouble iv = NumericOps<IntervalDouble>::From(third_tiny);
+  EXPECT_TRUE(Rational::FromDouble(iv.lo) <= third_tiny);
+  EXPECT_TRUE(Rational::FromDouble(iv.hi) >= third_tiny);
+  EXPECT_EQ(std::nextafter(iv.lo, 1.0), iv.hi);
 }
 
 TEST(NumericIntervalStrings, ToStringParseNumericBackendRoundTrip) {
