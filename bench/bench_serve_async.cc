@@ -79,6 +79,7 @@ void BM_ServeSyncWrapperBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeSyncWrapperBatch)
     ->Arg(1)->Arg(2)->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ServeSubmitCollect(benchmark::State& state) {
@@ -102,6 +103,7 @@ void BM_ServeSubmitCollect(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeSubmitCollect)
     ->Arg(1)->Arg(2)->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -149,6 +151,7 @@ void BM_ServeDeadlineMissRatio(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeDeadlineMissRatio)
     ->Arg(50)->Arg(1000)->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -184,6 +187,7 @@ void BM_ServeShardedSubmitCollect(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeShardedSubmitCollect)
     ->Arg(1)->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

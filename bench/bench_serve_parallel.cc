@@ -17,7 +17,6 @@
 #include "src/core/eval_session.h"
 #include "src/serve/executor.h"
 #include "src/serve/mpmc_queue.h"
-#include "src/serve/relaxed_queue.h"
 #include "src/serve/shard.h"
 #include "src/serve/work_steal_deque.h"
 
@@ -92,6 +91,7 @@ void BM_ServeExecutorBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeExecutorBatch)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ServeExecutorNoComponentSplit(benchmark::State& state) {
@@ -111,15 +111,15 @@ void BM_ServeExecutorNoComponentSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeExecutorNoComponentSplit)
     ->Arg(2)->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Scheduling-core contenders. Two layers: raw per-op costs of the three
-// task stores (global Vyukov MPMC, Chase–Lev deque, relaxed block queue),
-// then the executor measured end to end under each dispatch shape — the
-// pre-rebuild single global FIFO vs per-worker deques + stealing vs the
-// relaxed multi-block injection queue — on a dispatch-heavy corpus (many
-// small componentwise queries) where per-dispatch overhead dominates.
+// Scheduling core. Two layers: raw per-op costs of the two task stores
+// (the Vyukov MPMC injection queue and the Chase–Lev deque), then the
+// executor's one dispatch shape (per-worker deques + stealing over the
+// injection queue) end to end on a dispatch-heavy corpus (many small
+// componentwise queries) where per-dispatch overhead dominates.
 // ---------------------------------------------------------------------------
 
 void BM_QueueOpGlobalMpmc(benchmark::State& state) {
@@ -164,49 +164,12 @@ void BM_QueueOpDequeSteal(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueOpDequeSteal);
 
-void BM_QueueOpRelaxedBlocks(benchmark::State& state) {
-  serve::RelaxedBlockQueue<uint64_t> queue(1024,
-                                           static_cast<size_t>(state.range(0)));
-  uint64_t v = 0;
-  uint64_t out = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) queue.TryPush(v++);
-    for (int i = 0; i < 64; ++i) queue.TryPop(&out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_QueueOpRelaxedBlocks)->Arg(1)->Arg(8)->ArgName("blocks");
-
-/// Executor dispatch shapes for the contender run.
-///   0 = the pre-rebuild core: one global strict-FIFO queue, no stealing
-///   1 = per-worker deques + randomized stealing (strict-FIFO injection)
-///   2 = relaxed multi-block injection only, no stealing
-void BM_ServeDispatchContender(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  const int64_t shape = state.range(1);
+void BM_ServeDispatchHeavy(benchmark::State& state) {
   // Dispatch-heavy: 4 instance components per query and a wide batch of
   // small queries, so scheduling overhead is a visible fraction.
   Corpus corpus = MakeCorpus(4, 8, 32);
   ExecutorOptions exec_options;
-  exec_options.threads = threads;
-  switch (shape) {
-    case 0:
-      exec_options.enable_stealing = false;
-      exec_options.injection_blocks = 1;
-      state.SetLabel("global-mpmc");
-      break;
-    case 1:
-      exec_options.enable_stealing = true;
-      exec_options.injection_blocks = 1;
-      state.SetLabel("deques+stealing");
-      break;
-    default:
-      exec_options.enable_stealing = false;
-      exec_options.injection_blocks = 8;
-      state.SetLabel("relaxed-injection");
-      break;
-  }
+  exec_options.threads = static_cast<size_t>(state.range(0));
   BatchExecutor executor(exec_options);
   EvalSession session(corpus.instance, ServingOptions());
   executor.SolveBatch(session, corpus.queries);  // warm-up
@@ -216,9 +179,10 @@ void BM_ServeDispatchContender(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(corpus.queries.size()));
 }
-BENCHMARK(BM_ServeDispatchContender)
-    ->ArgNames({"threads", "shape"})
-    ->ArgsProduct({{1, 2, 8}, {0, 1, 2}})
+BENCHMARK(BM_ServeDispatchHeavy)
+    ->ArgName("threads")
+    ->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -248,6 +212,7 @@ void BM_ServeShardedRequests(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeShardedRequests)
     ->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ServeLruColdVsShared(benchmark::State& state) {
@@ -273,6 +238,7 @@ void BM_ServeLruColdVsShared(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeLruColdVsShared)
     ->Arg(1)->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

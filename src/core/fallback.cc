@@ -29,11 +29,13 @@ Result<Num> SolveByWorldEnumerationT(const DiGraph& query,
       uncertain.push_back(e);
     }
   }
-  if (uncertain.size() > options.max_uncertain_edges) {
+  // Worlds are uint64_t edge masks, so 63 uncertain edges is a hard ceiling
+  // whatever the caller allows (1 << 64 is undefined behaviour).
+  const size_t limit = std::min<size_t>(options.max_uncertain_edges, 63);
+  if (uncertain.size() > limit) {
     return Status::ResourceExhausted(
         "world enumeration over " + std::to_string(uncertain.size()) +
-        " uncertain edges exceeds the limit of " +
-        std::to_string(options.max_uncertain_edges));
+        " uncertain edges exceeds the limit of " + std::to_string(limit));
   }
 
   // Short-circuits: hom with only certain edges -> 1; no hom even with all
@@ -57,9 +59,7 @@ Result<Num> SolveByWorldEnumerationT(const DiGraph& query,
         bool certain_hom,
         HasHomomorphism(query, build_world(0), options.backtrack));
     if (certain_hom) return Ops::One();
-    uint64_t full = uncertain.size() >= 64
-                        ? ~uint64_t{0}
-                        : (uint64_t{1} << uncertain.size()) - 1;
+    const uint64_t full = (uint64_t{1} << uncertain.size()) - 1;
     PHOM_ASSIGN_OR_RETURN(
         bool any_hom,
         HasHomomorphism(query, build_world(full), options.backtrack));

@@ -22,7 +22,8 @@
 namespace phom {
 
 struct FallbackOptions {
-  /// World enumeration refuses instances with more uncertain edges.
+  /// World enumeration refuses instances with more uncertain edges (and,
+  /// whatever this is set to, instances with more than 63).
   size_t max_uncertain_edges = 26;
   /// Per-world homomorphism search budget.
   BacktrackOptions backtrack;

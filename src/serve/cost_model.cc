@@ -56,23 +56,6 @@ std::chrono::nanoseconds PriorComponentCost(std::string_view engine,
   return std::chrono::nanoseconds(20'000 + 2'000 * static_cast<int64_t>(u));
 }
 
-double PriorEnclosureWidth(std::string_view engine,
-                           GraphClass component_class,
-                           size_t uncertain_edges) {
-  // ~1 ulp of outward rounding per interval operation near answers of order
-  // 1 (4e-16 ≈ 2 ulp at 1.0 — the histogram mode on the bench workloads),
-  // times an operation count in the same regimes as PriorComponentCost:
-  // linear for the tractable DPs, 2^u for enumeration engines/hard classes.
-  const bool exponential = IsEnumerationEngine(engine) ||
-                           component_class == GraphClass::kConnected ||
-                           component_class == GraphClass::kGeneral;
-  const uint64_t u = static_cast<uint64_t>(uncertain_edges);
-  const double ops =
-      exponential ? std::ldexp(1.0, static_cast<int>(std::min<uint64_t>(u, 40)))
-                  : static_cast<double>(u + 1);
-  return std::min(1.0, ops * 4e-16);
-}
-
 CostPrediction CostModelSnapshot::PredictComponent(
     std::string_view engine, GraphClass component_class,
     size_t uncertain_edges) const {
@@ -143,20 +126,6 @@ CostPrediction CostModelSnapshot::PredictSolveCost(
                           prepared.instance().NumUncertainEdges());
 }
 
-double CostModelSnapshot::PredictEnclosureWidth(std::string_view engine,
-                                                GraphClass component_class,
-                                                size_t uncertain_edges) const {
-  Key key;
-  key.engine = std::string(engine);
-  key.component_class = component_class;
-  key.bucket = UncertainEdgeBucket(uncertain_edges);
-  auto it = cells_.find(key);
-  if (it != cells_.end() && it->second.width_count > 0) {
-    return it->second.width_mean;
-  }
-  return PriorEnclosureWidth(engine, component_class, uncertain_edges);
-}
-
 CostModel::CostModel(CostModelOptions options) : options_(options) {}
 
 void CostModel::RecordComponent(std::string_view engine,
@@ -188,42 +157,6 @@ void CostModel::RecordComponent(std::string_view engine,
   version_.fetch_add(1, std::memory_order_release);
 }
 
-void CostModel::RecordComponentWidth(std::string_view engine,
-                                     GraphClass component_class,
-                                     size_t uncertain_edges, double width) {
-  // An invalid enclosure (NaN, negative) must not poison the EWMA — the
-  // executor's histogram surfaces those loudly; here they are just skipped.
-  if (!(width >= 0.0) || !std::isfinite(width)) return;
-  CostModelSnapshot::Key key;
-  key.engine = std::string(engine);
-  key.component_class = component_class;
-  key.bucket = UncertainEdgeBucket(uncertain_edges);
-  Stripe& stripe = stripes_[CostModelSnapshot::KeyHash()(key) % kStripes];
-  {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    CostModelSnapshot::Cell& cell = stripe.cells[key];
-    if (cell.width_count == 0) {
-      cell.width_mean = width;
-    } else {
-      cell.width_mean += options_.alpha * (width - cell.width_mean);
-    }
-    ++cell.width_count;
-  }
-  version_.fetch_add(1, std::memory_order_release);
-}
-
-namespace {
-
-/// A width observation worth training on: a successful certified enclosure
-/// from the interval backend (degraded statistical brackets and the vacuous
-/// plain-double [0, 1] never reach the width EWMA).
-bool HasTrainableWidth(const SolveResult& result) {
-  return result.numeric == NumericBackend::kIntervalDouble &&
-         result.bound.certified && !result.degrade.degraded;
-}
-
-}  // namespace
-
 void CostModel::RecordSolve(const PreparedProblem& prepared,
                             const SolveResult& result) {
   // Only clean exact latencies train the model: degraded estimates ran under
@@ -236,12 +169,6 @@ void CostModel::RecordSolve(const PreparedProblem& prepared,
                   prepared.analysis.instance_class.finest,
                   prepared.instance().NumUncertainEdges(),
                   result.stats.duration);
-  if (HasTrainableWidth(result)) {
-    RecordComponentWidth(result.stats.engine,
-                         prepared.analysis.instance_class.finest,
-                         prepared.instance().NumUncertainEdges(),
-                         result.bound.hi - result.bound.lo);
-  }
 }
 
 void CostModel::RecordComponentSolve(const PreparedProblem& prepared,
@@ -260,12 +187,6 @@ void CostModel::RecordComponentSolve(const PreparedProblem& prepared,
                     unit.analysis.instance_class.finest,
                     unit.instance().NumUncertainEdges(),
                     result.stats.duration);
-    if (HasTrainableWidth(result)) {
-      RecordComponentWidth(plan.engine->name(),
-                           unit.analysis.instance_class.finest,
-                           unit.instance().NumUncertainEdges(),
-                           result.bound.hi - result.bound.lo);
-    }
     return;
   }
   if (prepared.context == nullptr ||
@@ -277,12 +198,6 @@ void CostModel::RecordComponentSolve(const PreparedProblem& prepared,
       plan.engine->name(), ctx.component_classes[component_index].finest,
       ctx.components[component_index].graph.NumUncertainEdges(),
       result.stats.duration);
-  if (HasTrainableWidth(result)) {
-    RecordComponentWidth(
-        plan.engine->name(), ctx.component_classes[component_index].finest,
-        ctx.components[component_index].graph.NumUncertainEdges(),
-        result.bound.hi - result.bound.lo);
-  }
 }
 
 namespace {
@@ -373,8 +288,6 @@ struct ParsedCell {
   double mean_ns = 0.0;
   double dev_ns = 0.0;
   uint64_t count = 0;
-  double width_mean = 0.0;
-  uint64_t width_count = 0;
 };
 
 Result<std::vector<ParsedCell>> ParseSnapshotJson(std::string_view json) {
@@ -450,16 +363,15 @@ Result<std::vector<ParsedCell>> ParseSnapshotJson(std::string_view json) {
             cell.count = static_cast<uint64_t>(count);
             have_count = true;
           } else if (name == "width_mean") {
-            // OPTIONAL (with width_count below): snapshots persisted before
-            // the width EWMA existed import cleanly with a cold width signal.
-            PHOM_ASSIGN_OR_RETURN(cell.width_mean, c.ParseNumber());
+            // Legacy (with width_count below): older snapshots carried a
+            // per-cell enclosure-width EWMA. Validated, then discarded.
+            PHOM_RETURN_NOT_OK(c.ParseNumber().status());
           } else if (name == "width_count") {
             PHOM_ASSIGN_OR_RETURN(double wcount, c.ParseNumber());
             if (wcount < 0.0 || wcount != std::floor(wcount)) {
               return Status::Invalid("cost-model snapshot: bad width_count " +
                                      ExactDouble(wcount));
             }
-            cell.width_count = static_cast<uint64_t>(wcount);
           } else {
             return Status::Invalid("cost-model snapshot: unknown cell field '" +
                                    name + "'");
@@ -521,9 +433,7 @@ std::string CostModel::ExportSnapshotJson() const {
            "\",\"bucket\":" + std::to_string(key.bucket) +
            ",\"mean_ns\":" + ExactDouble(cell.mean_ns) +
            ",\"dev_ns\":" + ExactDouble(cell.dev_ns) +
-           ",\"count\":" + std::to_string(cell.count) +
-           ",\"width_mean\":" + ExactDouble(cell.width_mean) +
-           ",\"width_count\":" + std::to_string(cell.width_count) + "}";
+           ",\"count\":" + std::to_string(cell.count) + "}";
   }
   out += "]}\n";
   return out;
@@ -548,8 +458,6 @@ Result<size_t> CostModel::ImportSnapshotJson(std::string_view json,
     cell.mean_ns = parsed.mean_ns;
     cell.dev_ns = parsed.dev_ns;
     cell.count = parsed.count;
-    cell.width_mean = parsed.width_mean;
-    cell.width_count = parsed.width_count;
     if (d > 0.0) {
       // Blend toward the cell's own cold-start prior, evaluated at the
       // bucket's smallest member count (bucket b covers [2^(b-1), 2^b - 1]).
@@ -623,62 +531,6 @@ AdmissionDecision DecideAdmission(
     decision.action = AdmissionAction::kDegradeProactively;
   }
   return decision;
-}
-
-std::string SelectTightestEngine(const CostModelSnapshot& snapshot,
-                                 const PreparedProblem& prepared,
-                                 const SolveOptions& options) {
-  // Only a plain interval-backend request with free engine choice: forced
-  // engines/algorithms are the caller's ablation contract, UCQ problems are
-  // the lifted engine's (its plan already fixed per-unit routing), and
-  // immediate answers run nothing.
-  if (options.numeric != NumericBackend::kIntervalDouble ||
-      !options.force_engine.empty() || options.force_algorithm.has_value() ||
-      prepared.immediate.has_value() || prepared.context == nullptr ||
-      prepared.ucq != nullptr) {
-    return "";
-  }
-  bool forced = false;
-  const Result<const Engine*> auto_engine = SelectEngineForProblem(
-      EngineRegistry::Global(), prepared, options, &forced);
-  if (!auto_engine.ok() || *auto_engine == nullptr) return "";
-  // Predicted whole-problem width under one engine: summed per component —
-  // the Lemma 3.7 combine multiplies complements, and to first order the
-  // component widths ADD through a product of near-unit intervals.
-  const InstanceContext& ctx = *prepared.context;
-  const auto predict_width = [&](const Engine& engine) {
-    if (engine.componentwise() && ctx.components.size() > 1) {
-      double sum = 0.0;
-      for (size_t c = 0; c < ctx.components.size(); ++c) {
-        sum += snapshot.PredictEnclosureWidth(
-            engine.name(), ctx.component_classes[c].finest,
-            ctx.components[c].graph.NumUncertainEdges());
-      }
-      return sum;
-    }
-    return snapshot.PredictEnclosureWidth(
-        engine.name(), prepared.analysis.instance_class.finest,
-        prepared.instance().NumUncertainEdges());
-  };
-  const Engine* best = *auto_engine;
-  double best_width = predict_width(**auto_engine);
-  for (const Engine* candidate : EngineRegistry::Global().engines()) {
-    if (candidate == *auto_engine) continue;
-    // Exact applicable engines only: estimators (monte-carlo) answer with a
-    // statistical bracket, not an enclosure, and an engine that does not
-    // Apply may answer wrongly. Strict improvement — ties keep auto
-    // dispatch, so a cold model (equal priors per regime) changes nothing.
-    if (!candidate->exact() || !candidate->Applies(prepared.analysis)) {
-      continue;
-    }
-    const double width = predict_width(*candidate);
-    if (width < best_width) {
-      best = candidate;
-      best_width = width;
-    }
-  }
-  if (best == *auto_engine) return "";
-  return std::string(best->name());
 }
 
 }  // namespace phom::serve

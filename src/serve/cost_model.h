@@ -87,17 +87,6 @@ std::chrono::nanoseconds PriorComponentCost(std::string_view engine,
                                             GraphClass component_class,
                                             size_t uncertain_edges);
 
-/// The static cold-start prior for one cell's ENCLOSURE WIDTH (hi − lo of a
-/// certified interval answer), seeded from the shape of the executor's
-/// interval-width histogram on the bench workloads: each interval operation
-/// contributes ~1 ulp of outward rounding (~4e-16 near answers of order 1),
-/// and the operation count is ~linear in the uncertain edge count for the
-/// tractable DPs but ~2^u for the enumeration engines and hard classes —
-/// the same regimes PriorComponentCost models for latency. Clamped to 1
-/// (an enclosure of [0, 1] is the widest possible).
-double PriorEnclosureWidth(std::string_view engine, GraphClass component_class,
-                           size_t uncertain_edges);
-
 /// An immutable copy of the model's cells, the only thing admission
 /// decisions may consult (see the determinism notes above). Obtained via
 /// CostModel::Snapshot(); cheap to share (shared_ptr) and valid forever.
@@ -120,13 +109,6 @@ class CostModelSnapshot {
   CostPrediction PredictSolveCost(const PreparedProblem& prepared,
                                   const ComponentDispatch& plan,
                                   const SolveOptions& options) const;
-
-  /// Predicted certified-enclosure width for one solve unit under `engine`:
-  /// the cell's learned width EWMA when it has width observations, else the
-  /// PriorEnclosureWidth cold-start seed. Pure function of this snapshot.
-  double PredictEnclosureWidth(std::string_view engine,
-                               GraphClass component_class,
-                               size_t uncertain_edges) const;
 
   /// Number of learned cells in this snapshot.
   size_t num_cells() const { return cells_.size(); }
@@ -156,15 +138,11 @@ class CostModelSnapshot {
     }
   };
   /// One cell's EWMA state: mean latency and mean absolute deviation, both
-  /// in nanoseconds — plus the mean certified-enclosure width observed for
-  /// this cell under the interval backend (the tightest-enclosure engine
-  /// selection's signal; 0-count until an interval solve lands here).
+  /// in nanoseconds.
   struct Cell {
     double mean_ns = 0.0;
     double dev_ns = 0.0;
     uint64_t count = 0;
-    double width_mean = 0.0;
-    uint64_t width_count = 0;
   };
 
   std::unordered_map<Key, Cell, KeyHash> cells_;
@@ -187,19 +165,10 @@ class CostModel {
                        size_t uncertain_edges,
                        std::chrono::nanoseconds duration);
 
-  /// Records one observed certified-enclosure width (hi − lo of an interval
-  /// answer) for a cell — the width EWMA behind PredictEnclosureWidth.
-  /// Non-finite or negative widths are ignored (invalid enclosures must not
-  /// poison the signal; the executor buckets them loudly instead).
-  void RecordComponentWidth(std::string_view engine,
-                            GraphClass component_class, size_t uncertain_edges,
-                            double width);
-
   /// Records a completed WHOLE-problem solve (non-componentwise dispatch):
   /// keyed by the result's engine, the restricted instance's class and its
   /// uncertain edge count. Degraded estimates and immediate answers are
-  /// skipped — they are not exact-solve latencies. A certified interval
-  /// result additionally trains the cell's width EWMA (RecordComponentWidth).
+  /// skipped — they are not exact-solve latencies.
   void RecordSolve(const PreparedProblem& prepared, const SolveResult& result);
 
   /// Records one completed component solve of a componentwise dispatch:
@@ -234,7 +203,9 @@ class CostModel {
   /// OVERWRITES cells with matching keys and is itself overwritten by
   /// subsequent RecordComponent updates (the EWMA just continues). Returns
   /// the number of cells installed; malformed JSON or an unknown schema
-  /// version is Status::Invalid and installs nothing.
+  /// version is Status::Invalid and installs nothing. Older snapshots carry
+  /// per-cell `width_mean`/`width_count` keys; they are validated like any
+  /// other field and then discarded.
   Result<size_t> ImportSnapshotJson(std::string_view json,
                                     double decay_toward_prior = 0.0);
 
@@ -290,21 +261,5 @@ AdmissionDecision DecideAdmission(
     const CostModelSnapshot& snapshot, const PreparedProblem& prepared,
     const ComponentDispatch& plan, const SolveOptions& options,
     std::optional<std::chrono::nanoseconds> remaining_budget);
-
-/// Tightest-enclosure engine choice for an interval-backend request (the
-/// serve layer's opt-in refinement, ExecutorOptions::
-/// select_tightest_enclosure): among the registered EXACT engines that apply
-/// to the prepared problem's cell, the one with the smallest predicted
-/// whole-problem enclosure width (summed per component when the instance is
-/// componentwise — widths compound through the Lemma 3.7 combine). Returns
-/// the chosen engine's registry name when it beats the auto-dispatch choice
-/// STRICTLY (ties keep the auto engine, so a cold model — where every
-/// tractable variant shares one prior — changes nothing), or "" to keep auto
-/// dispatch (also for immediate answers, UCQ plans — the lifted engine owns
-/// those — and requests that already force an engine or algorithm). Pure
-/// function of (snapshot, prepared, options): deterministic per snapshot.
-std::string SelectTightestEngine(const CostModelSnapshot& snapshot,
-                                 const PreparedProblem& prepared,
-                                 const SolveOptions& options);
 
 }  // namespace phom::serve

@@ -28,15 +28,6 @@ size_t ResolveThreads(const ExecutorOptions& options) {
   return n;
 }
 
-size_t ResolveInjectionBlocks(const ExecutorOptions& options) {
-  if (options.injection_blocks != 0) return options.injection_blocks;
-  // Auto: one block per worker up to 8 — enough cursor spread to take the
-  // queue off the contention path, few enough that the all-blocks probe on
-  // pop stays cheap. RelaxedBlockQueue clamps further so no block drops
-  // below 2 cells (a capacity-2 queue is always one strict-FIFO block).
-  return std::min<size_t>(ResolveThreads(options), 8);
-}
-
 }  // namespace
 
 size_t IntervalWidthBucket(double width) {
@@ -58,8 +49,7 @@ size_t IntervalWidthBucket(double width) {
 
 BatchExecutor::BatchExecutor(ExecutorOptions options)
     : options_(std::move(options)),
-      injection_(options_.queue_capacity == 0 ? 2 : options_.queue_capacity,
-                 ResolveInjectionBlocks(options_)) {
+      injection_(options_.queue_capacity) {
   if (options_.cost_model != nullptr &&
       !options_.cost_model_warm_start_json.empty()) {
     // Warm start BEFORE any worker exists: the first Submit's snapshot
@@ -168,9 +158,6 @@ void BatchExecutor::EnqueueTask(Task task) {
       }
       w.edf_size.store(w.edf_heap.size(), std::memory_order_relaxed);
     }
-    // notify_all, not notify_one: with stealing off only the owning worker
-    // (or a helper) can pop this heap, and a notify_one may land on a
-    // different worker that finds nothing and sleeps again.
     NotifyAll();
     if (displaced.has_value()) {
       edf_displaced_.fetch_add(1, std::memory_order_relaxed);
@@ -216,7 +203,7 @@ bool BatchExecutor::TryPopTaskWorker(size_t self, Task* out) {
   if (PopEdf(me, out)) return true;
   if (injection_.TryPop(out)) return true;
   const size_t n = worker_state_.size();
-  if (!options_.enable_stealing || n <= 1) return false;
+  if (n <= 1) return false;
   // Steal from a randomized victim: deque top (the victim's OLDEST task)
   // first, then the victim's EDF heap. The random start decorrelates
   // thieves; the full rotation guarantees any available task is found.
@@ -464,7 +451,7 @@ MonotonicArena* BatchExecutor::TaskArena(size_t self) {
 void BatchExecutor::FanOut(const Task& root, size_t self) {
   internal::RequestState& req = *root.request;
   const size_t n = req.dispatch.components;
-  if (self != kNoWorker && options_.enable_stealing) {
+  if (self != kNoWorker) {
     Worker& me = *worker_state_[self];
     bool queued = false;
     // Push components n-1 .. 1: the owner's LIFO pop then runs them in
@@ -493,8 +480,7 @@ void BatchExecutor::FanOut(const Task& root, size_t self) {
     if (options_.test_after_fanout) options_.test_after_fanout(self);
     return;
   }
-  // Helper thread, or stealing disabled: the shared injection lane in index
-  // order (the historical dispatch shape).
+  // Helper thread: the shared injection lane, in index order.
   for (size_t c = 0; c < n; ++c) {
     Task task{root.request, static_cast<int32_t>(c)};
     if (injection_.TryPush(task)) {
@@ -783,16 +769,6 @@ SolveTicket BatchExecutor::Submit(EvalSession& session, SolveRequest request,
     // plan's units instead of instance components.
     state->prepared = state->ucq != nullptr ? session.PrepareUcq(*state->ucq)
                                             : session.Prepare(*state->query);
-    if (options_.select_tightest_enclosure && options_.cost_model != nullptr) {
-      // Tightest-enclosure routing, BEFORE dispatch planning so the forced
-      // engine shapes the component plan: a pure function of the snapshot
-      // (cost_model.h), empty when auto dispatch is already the tightest
-      // choice or the request is not a plain interval-backend solve.
-      std::string tightest =
-          SelectTightestEngine(*options_.cost_model->Snapshot(),
-                               state->prepared, state->options);
-      if (!tightest.empty()) state->options.force_engine = std::move(tightest);
-    }
     if (options_.split_components) {
       // One registry scan per query; every component task reuses the plan.
       state->dispatch = PlanComponentDispatch(state->prepared, state->options);

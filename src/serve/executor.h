@@ -17,7 +17,7 @@
 #include "src/core/eval_session.h"
 #include "src/serve/async.h"
 #include "src/serve/cost_model.h"
-#include "src/serve/relaxed_queue.h"
+#include "src/serve/mpmc_queue.h"
 #include "src/serve/request.h"
 #include "src/serve/work_steal_deque.h"
 #include "src/util/arena.h"
@@ -37,11 +37,10 @@
 ///     the execution order is exactly the historical 0,1,…,n-1. Idle
 ///     workers steal the OLDEST task from a randomized victim, so fan-out
 ///     parallelism costs no shared-queue contention.
-///   * Deadline-less requests enter through a relaxed block-based injection
-///     queue (relaxed_queue.h): FIFO within a block, relaxed across blocks.
-///     With injection_blocks = 1 (or one worker thread, the auto default)
-///     dispatch of deadline-less requests is exactly the historical global
-///     FIFO.
+///   * Deadline-less requests enter through one shared strict-FIFO
+///     injection queue (the Vyukov MpmcQueue, mpmc_queue.h), so their roots
+///     dispatch in arrival order. It is also the overflow lane for full
+///     worker deques and the fan-out lane of non-worker threads.
 ///   * Deadline-carrying requests route to the LEAST-LOADED worker's
 ///     bounded EDF heap (earliest effective deadline = deadline − predicted
 ///     cost, PR 6 semantics). With one worker every deadline task shares one
@@ -117,8 +116,8 @@
 /// drain the pool — which is why `threads = 1` makes progress even when
 /// the lone worker is busy with another batch.
 ///
-/// Determinism guarantee: for every thread count, with stealing on or off,
-/// every request that COMPLETES (is neither expired nor cancelled) answers
+/// Determinism guarantee: for every thread count and steal schedule, every
+/// request that COMPLETES (is neither expired nor cancelled) answers
 /// BIT-IDENTICALLY to session.Solve run serially — probabilities (both
 /// backends), stats, analyses and error statuses. This holds because
 ///   * every result is written to its own ticket (no completion-order
@@ -132,7 +131,7 @@
 ///     per-request seed inside each task (EstimateProbabilityMonteCarlo is
 ///     a pure function of (query, instance, seed)), so no thread shares
 ///     generator state with another.
-/// Scheduling (steal order, block choice) affects only WHEN tasks run,
+/// Scheduling (steal order, victim choice) affects only WHEN tasks run,
 /// which is observable in completion ORDER alone — and deadline-less
 /// completion order was never part of the contract.
 ///
@@ -149,13 +148,12 @@ namespace phom::serve {
 struct ExecutorOptions {
   /// Worker threads. 0 = std::thread::hardware_concurrency() (at least 1).
   size_t threads = 0;
-  /// Injection-queue capacity (rounded up to a power of two, split across
-  /// its blocks). When the queue is full, the submitter runs the task
-  /// inline instead of blocking — the queue bounds memory, not correctness
-  /// (Submit may therefore block on a saturated pool: natural
-  /// backpressure). Also sizes the per-worker EDF heaps: each holds up to
-  /// queue_capacity / threads entries before the displace-inline overflow
-  /// policy fires.
+  /// Injection-queue capacity (rounded up to a power of two, minimum 2).
+  /// When the queue is full, the submitter runs the task inline instead of
+  /// blocking — the queue bounds memory, not correctness (Submit may
+  /// therefore block on a saturated pool: natural backpressure). Also sizes
+  /// the per-worker EDF heaps: each holds up to queue_capacity / threads
+  /// entries before the displace-inline overflow policy fires.
   size_t queue_capacity = 1024;
   /// Fan the independent instance components of a componentwise dispatch
   /// out as separate tasks (within-query parallelism). Off = one task per
@@ -183,15 +181,6 @@ struct ExecutorOptions {
   /// change shifts every cell, and the decayed blend lets fresh
   /// observations re-win the EWMA quickly (see ImportSnapshotJson).
   double cost_model_warm_start_decay = 0.0;
-  /// With a cost model installed: route each plain interval-backend request
-  /// (no forced engine/algorithm, not a UCQ) through the registered exact
-  /// engine with the smallest PREDICTED enclosure width for its cell
-  /// (SelectTightestEngine, cost_model.h) by forcing that engine on the
-  /// request's options at submit. Off (the default) preserves auto dispatch
-  /// bit-identically; on, the choice is a pure function of the snapshot
-  /// taken at submit — deterministic, but dependent on what the model has
-  /// learned so far. Exact/double-backend requests are never rerouted.
-  bool select_tightest_enclosure = false;
   /// With a cost model installed: reject a deadline-carrying request at
   /// submit (kResourceExhausted, nothing prepared, the session untouched)
   /// when the predicted backlog exceeds the remaining slack of EVERY
@@ -201,22 +190,9 @@ struct ExecutorOptions {
   /// shed (an estimate beats an error); deadline-less requests are never
   /// shed.
   bool enable_shedding = false;
-  /// Work stealing (default ON): workers fan component tasks out to their
-  /// own deque and steal from randomized victims when idle. OFF routes
-  /// fan-out through the shared injection queue instead (the pre-rebuild
-  /// dispatch shape) — results are bit-identical either way; the knob
-  /// exists for the contender benchmarks and for pinning down scheduling
-  /// regressions.
-  bool enable_stealing = true;
   /// Per-worker deque capacity (rounded up to a power of two, minimum 2).
   /// A full deque overflows into the injection queue, then inline.
   size_t steal_deque_capacity = 256;
-  /// Number of injection-queue blocks. 0 = auto: min(threads, 8), clamped
-  /// so no block drops below 2 cells (a capacity-2 queue is therefore
-  /// always ONE block — the strict-FIFO configuration — and tiny-queue
-  /// inline-run behavior is unchanged). 1 = strict global FIFO. Larger
-  /// values relax cross-block ordering for throughput (relaxed_queue.h).
-  size_t injection_blocks = 0;
   /// Seed for the per-worker victim-selection RNGs (worker i is seeded with
   /// steal_seed ^ i). The steal-interleaving fuzz suite varies this to
   /// drive victim order through many schedules; results never depend on it.
@@ -463,10 +439,10 @@ class BatchExecutor {
                                 RequestClock::time_point now);
 
   ExecutorOptions options_;
-  /// Deadline-less lane: relaxed block-based MPMC (relaxed_queue.h). Also
-  /// the overflow target for full worker deques and the fan-out lane when
-  /// stealing is disabled.
-  RelaxedBlockQueue<Task> injection_;
+  /// Deadline-less lane: strict-FIFO Vyukov MPMC (mpmc_queue.h). Also the
+  /// overflow target for full worker deques and the fan-out lane of
+  /// non-worker threads.
+  MpmcQueue<Task> injection_;
   std::mutex work_mu_;
   std::condition_variable work_cv_;
   bool stop_ = false;  ///< guarded by work_mu_

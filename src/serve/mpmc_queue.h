@@ -62,12 +62,7 @@ class MpmcQueue {
   size_t capacity() const { return mask_ + 1; }
 
   /// False when the queue is full.
-  bool TryPush(T value) { return TryPushMove(value); }
-
-  /// As TryPush, but `value` is consumed ONLY on success — on a full queue
-  /// it is left intact so the caller can retry elsewhere (this is what lets
-  /// RelaxedBlockQueue probe blocks without losing the payload).
-  bool TryPushMove(T& value) {
+  bool TryPush(T value) {
     Cell* cell;
     size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {

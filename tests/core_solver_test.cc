@@ -131,6 +131,22 @@ TEST(Solver, ForcedAlgorithmsAgree) {
   }
 }
 
+TEST(Solver, WorldEnumerationRefusesSixtyFourUncertainEdges) {
+  // World masks are uint64_t, so 64 uncertain edges must be refused even
+  // when the caller raises the limit to 64 (1 << 64 is undefined behaviour).
+  ProbGraph h(65);
+  for (uint32_t v = 0; v < 64; ++v) {
+    AddEdgeOrDie(&h, v, v + 1, 0, Rational::Half());
+  }
+  SolveOptions options;
+  options.force_engine = "fallback";
+  options.fallback.max_uncertain_edges = 64;
+  Result<Rational> r = SolveProbability(MakeOneWayPath(2), h, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Status::Code::kResourceExhausted)
+      << r.status().ToString();
+}
+
 TEST(Solver, ForcedUnlabeledAlgorithmsRejectLabeledProblems) {
   // The automaton/grading pipelines ignore labels; forcing them on a
   // genuinely labeled problem must fail rather than silently mis-answer.

@@ -29,7 +29,8 @@
 ///
 ///  * the cost model itself — log2 bucketing, the BENCH-shaped priors, EWMA
 ///    learning with exact arithmetic checks, snapshot immutability/caching,
-///    and the conservative DecideAdmission rule;
+///    the snapshot JSON round trip (including the legacy width keys older
+///    exports carry), and the conservative DecideAdmission rule;
 ///  * admission determinism — decisions against a fixed snapshot are
 ///    bit-identical across thread counts and numeric backends;
 ///  * the executor integration — proactive degradation that SKIPS the exact
@@ -287,6 +288,53 @@ TEST(CostModel, SnapshotJsonRoundTripsByteIdentically) {
       empty.ExportSnapshotJson());
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(*none, 0u);
+
+  // Older exports carry per-cell width_mean/width_count keys. They still
+  // import (same cells, same latency state), and re-export drops them.
+  const auto snapshot_json = [](const std::string& width_keys_2wp,
+                                const std::string& width_keys_fallback) {
+    return "{\"schema\":1,\"cells\":[\n"
+           "{\"engine\":\"connected-on-2wp\",\"class\":\"2WP\","
+           "\"bucket\":3,\"mean_ns\":41337,\"dev_ns\":20668.5,"
+           "\"count\":1" +
+           width_keys_2wp +
+           "},\n"
+           "{\"engine\":\"fallback\",\"class\":\"General\","
+           "\"bucket\":5,\"mean_ns\":2250000000,\"dev_ns\":1150000000,"
+           "\"count\":2" +
+           width_keys_fallback + "}]}\n";
+  };
+  const std::string legacy = snapshot_json(
+      ",\"width_mean\":4.4408920985006257e-16,\"width_count\":1",
+      ",\"width_mean\":0,\"width_count\":0");
+  const std::string current = snapshot_json("", "");
+
+  CostModel from_legacy;
+  Result<size_t> legacy_imported = from_legacy.ImportSnapshotJson(legacy);
+  ASSERT_TRUE(legacy_imported.ok()) << legacy_imported.status().ToString();
+  EXPECT_EQ(*legacy_imported, 2u);
+  EXPECT_EQ(from_legacy.Snapshot()->num_cells(), 2u);
+  const CostPrediction p = from_legacy.Snapshot()->PredictComponent(
+      "connected-on-2wp", GraphClass::kTwoWayPath, 4);
+  EXPECT_FALSE(p.from_prior);
+  EXPECT_EQ(p.expected, std::chrono::nanoseconds(41'337));
+
+  const std::string exported = from_legacy.ExportSnapshotJson();
+  EXPECT_EQ(exported, current) << "width keys are not re-exported";
+  CostModel again;
+  ASSERT_TRUE(again.ImportSnapshotJson(exported).ok());
+  EXPECT_EQ(again.ExportSnapshotJson(), exported) << "byte-stable round trip";
+
+  // The legacy keys are still validated before being discarded.
+  for (const std::string& bad_width :
+       {std::string(",\"width_mean\":0,\"width_count\":-1"),
+        std::string(",\"width_mean\":0,\"width_count\":0.5"),
+        std::string(",\"width_mean\":\"x\",\"width_count\":1")}) {
+    EXPECT_FALSE(
+        untouched.ImportSnapshotJson(snapshot_json(bad_width, "")).ok())
+        << bad_width;
+  }
+  EXPECT_EQ(untouched.Snapshot()->num_cells(), 0u);
 }
 
 TEST(CostModel, ImportDecayBlendsTowardThePrior) {

@@ -42,8 +42,8 @@
 ///    the number of certified interval completions (escalated results are
 ///    counted once, at their pre-escalation width; uncertified degraded
 ///    estimates are never counted);
-///  * the tightest-enclosure routing opt-in (SelectTightestEngine) — sound
-///    enclosures and untouched exact-backend requests;
+///  * soundness with a cost model installed — executor interval enclosures
+///    contain the exact answer;
 ///  * the CertifiedHalfWidth95(·, 0) division-by-zero regression.
 
 namespace phom {
@@ -418,30 +418,8 @@ TEST(Escalation, DegradedEstimatesNeverEnterTheHistogram) {
 }
 
 // ---------------------------------------------------------------------------
-// Tightest-enclosure routing (SelectTightestEngine).
+// Enclosure soundness with a cost model installed.
 // ---------------------------------------------------------------------------
-
-TEST(Escalation, SelectTightestEngineLeavesNonIntervalRequestsAlone) {
-  PaperFigure1 fig;
-  EvalSession session(fig.instance);
-  PreparedProblem prepared = session.Prepare(fig.query);
-  CostModel model;
-  const auto snapshot = model.Snapshot();
-
-  SolveOptions exact_options;  // default backend: exact
-  EXPECT_EQ(serve::SelectTightestEngine(*snapshot, prepared, exact_options),
-            "");
-  SolveOptions forced;
-  forced.numeric = NumericBackend::kIntervalDouble;
-  forced.force_engine = "lineage";
-  EXPECT_EQ(serve::SelectTightestEngine(*snapshot, prepared, forced), "")
-      << "a forced engine is the caller's ablation contract";
-  // A cold model ties every candidate at the shared prior, so auto dispatch
-  // is kept (strict-improvement rule).
-  SolveOptions interval;
-  interval.numeric = NumericBackend::kIntervalDouble;
-  EXPECT_EQ(serve::SelectTightestEngine(*snapshot, prepared, interval), "");
-}
 
 TEST(Escalation, TightestEnclosureRoutingStaysSound) {
   Rng rng(kSeed + 3);
@@ -457,7 +435,6 @@ TEST(Escalation, TightestEnclosureRoutingStaysSound) {
   ExecutorOptions options;
   options.threads = 2;
   options.cost_model = std::make_shared<CostModel>();
-  options.select_tightest_enclosure = true;
   BatchExecutor executor(options);
   std::vector<SolveTicket> tickets;
   for (const DiGraph& q : queries) {
@@ -472,9 +449,8 @@ TEST(Escalation, TightestEnclosureRoutingStaysSound) {
     ASSERT_TRUE(oracle[i].ok());
     const SolveResult& r = *results[i];
     ASSERT_TRUE(r.bound.certified);
-    // Whatever engine the router picked, the enclosure must contain the
-    // exact answer (Rational::FromDouble is lossless, so the comparison
-    // is exact).
+    // The enclosure must contain the exact answer (Rational::FromDouble is
+    // lossless, so the comparison is exact).
     EXPECT_LE(Rational::FromDouble(r.bound.lo), oracle[i]->probability);
     EXPECT_GE(Rational::FromDouble(r.bound.hi), oracle[i]->probability);
   }

@@ -17,26 +17,24 @@
 #include "src/graph/builders.h"
 #include "src/graph/generators.h"
 #include "src/serve/executor.h"
-#include "src/serve/relaxed_queue.h"
 #include "src/serve/request.h"
 #include "src/serve/work_steal_deque.h"
 #include "tests/test_util.h"
 
 /// Tier-1 coverage of the work-stealing scheduling core (executor.h):
-/// WorkStealDeque and RelaxedBlockQueue in isolation (ordering, bounds,
-/// conservation under concurrency), the steal-interleaving bit-identity
-/// fuzz (randomized victim seeds x thread counts x backends x stealing
-/// on/off, all against the serial baseline), a deterministic forced-steal
-/// gate (every fanned-out component task must be stolen), and the EDF
-/// heap-overflow regression: displacement runs the EARLIEST entry inline,
-/// never the incoming one.
+/// WorkStealDeque in isolation (ordering, bounds, conservation under
+/// concurrency; the injection queue's MpmcQueue is covered in
+/// serve_executor_test.cc), the steal-interleaving bit-identity fuzz
+/// (randomized victim seeds x thread counts x backends, all against the
+/// serial baseline), a deterministic forced-steal gate (every fanned-out
+/// component task must be stolen), and the EDF heap-overflow regression:
+/// displacement runs the EARLIEST entry inline, never the incoming one.
 
 namespace phom {
 namespace {
 
 using serve::BatchExecutor;
 using serve::ExecutorOptions;
-using serve::RelaxedBlockQueue;
 using serve::RequestClock;
 using serve::SolveRequest;
 using serve::SolveTicket;
@@ -170,110 +168,8 @@ TEST(WorkStealDeque, ConservationUnderConcurrentSteals) {
 }
 
 // ---------------------------------------------------------------------------
-// RelaxedBlockQueue unit coverage.
-// ---------------------------------------------------------------------------
-
-TEST(RelaxedBlockQueue, SingleBlockIsStrictFifo) {
-  RelaxedBlockQueue<int> q(8, 1);
-  EXPECT_EQ(q.blocks(), 1u);
-  EXPECT_EQ(q.capacity(), 8u);
-  for (int v = 0; v < 8; ++v) ASSERT_TRUE(q.TryPush(v));
-  EXPECT_FALSE(q.TryPush(99));
-  int out = -1;
-  for (int v = 0; v < 8; ++v) {
-    ASSERT_TRUE(q.TryPop(&out));
-    EXPECT_EQ(out, v) << "one block is the plain Vyukov FIFO";
-  }
-  EXPECT_FALSE(q.TryPop(&out));
-}
-
-TEST(RelaxedBlockQueue, TinyCapacityClampsToOneBlock) {
-  // A capacity-2 queue cannot split (no block may drop below 2 cells), so a
-  // large block request degenerates to one strict-FIFO block of exactly 2 —
-  // the configuration the executor's full-queue inline-run tests pin.
-  RelaxedBlockQueue<int> q(2, 8);
-  EXPECT_EQ(q.blocks(), 1u);
-  EXPECT_EQ(q.capacity(), 2u);
-  ASSERT_TRUE(q.TryPush(1));
-  ASSERT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3)) << "exactly two slots";
-  int out = -1;
-  ASSERT_TRUE(q.TryPop(&out));
-  ASSERT_TRUE(q.TryPop(&out));
-  EXPECT_FALSE(q.TryPop(&out));
-}
-
-TEST(RelaxedBlockQueue, BlockCountClampsAgainstCapacity) {
-  RelaxedBlockQueue<int> wide(16, 4);
-  EXPECT_EQ(wide.blocks(), 4u);
-  EXPECT_EQ(wide.capacity(), 16u);
-  RelaxedBlockQueue<int> narrow(4, 64);  // 64 blocks of <2 cells: clamp to 2
-  EXPECT_EQ(narrow.blocks(), 2u);
-  EXPECT_EQ(narrow.capacity(), 4u);
-}
-
-TEST(RelaxedBlockQueue, ExactEmptinessAndFullnessAcrossBlocks) {
-  // TryPush/TryPop probe every block before failing: pushes succeed until
-  // the TOTAL capacity is reached regardless of cursor positions, and pops
-  // drain every element before reporting empty.
-  RelaxedBlockQueue<int> q(8, 4);
-  EXPECT_EQ(q.blocks(), 4u);
-  for (int v = 0; v < 8; ++v) ASSERT_TRUE(q.TryPush(v)) << "push " << v;
-  EXPECT_FALSE(q.TryPush(99)) << "full only at total capacity";
-  std::vector<bool> seen(8, false);
-  int out = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.TryPop(&out));
-    ASSERT_GE(out, 0);
-    ASSERT_LT(out, 8);
-    EXPECT_FALSE(seen[out]) << "duplicate " << out;
-    seen[out] = true;
-  }
-  EXPECT_FALSE(q.TryPop(&out)) << "empty only when every block is empty";
-}
-
-TEST(RelaxedBlockQueue, ConservationUnderConcurrentProducersConsumers) {
-  constexpr int kPerProducer = 400;
-  constexpr int kProducers = 2;
-  constexpr int kConsumers = 2;
-  RelaxedBlockQueue<int> q(64, 4);
-  std::vector<std::atomic<int>> seen(kPerProducer * kProducers);
-  for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-  std::atomic<int> consumed{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int v = p * kPerProducer + i;
-        while (!q.TryPush(v)) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      int out = -1;
-      while (consumed.load(std::memory_order_relaxed) <
-             kPerProducer * kProducers) {
-        if (q.TryPop(&out)) {
-          seen[out].fetch_add(1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (size_t v = 0; v < seen.size(); ++v) {
-    EXPECT_EQ(seen[v].load(std::memory_order_relaxed), 1)
-        << "value " << v << " lost or duplicated";
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Steal-interleaving fuzz: randomized victim order x thread counts x
-// backends x stealing on/off, always bit-identical to serial.
+// backends, always bit-identical to serial.
 // ---------------------------------------------------------------------------
 
 class ServeStealFuzzTest : public ::testing::TestWithParam<size_t> {};
@@ -293,42 +189,32 @@ TEST_P(ServeStealFuzzTest, BitIdenticalAcrossStealSchedules) {
     EvalSession serial_session(instance, options);
     std::vector<Result<SolveResult>> serial = serial_session.SolveBatch(batch);
 
-    for (bool stealing : {true, false}) {
-      for (uint64_t seed : {uint64_t{0x9e3779b97f4a7c15ull}, uint64_t{12345},
-                            uint64_t{0xfeedfacecafebeefull}}) {
-        ExecutorOptions exec_options;
-        exec_options.threads = threads;
-        exec_options.enable_stealing = stealing;
-        exec_options.steal_seed = seed;
-        // Small deque + multi-block injection: force overflow and
-        // cross-block interleavings, not just the happy path.
-        exec_options.steal_deque_capacity = 4;
-        exec_options.injection_blocks = 4;
-        exec_options.queue_capacity = 32;
-        BatchExecutor executor(exec_options);
-        EvalSession session(instance, options);
-        std::vector<SolveRequest> requests;
-        requests.reserve(batch.size());
-        for (const DiGraph& q : batch) requests.push_back(SolveRequest(q));
-        std::vector<SolveTicket> tickets =
-            executor.SubmitBatch(session, std::move(requests));
-        std::vector<Result<SolveResult>> parallel =
-            BatchExecutor::Collect(tickets);
+    for (uint64_t seed : {uint64_t{0x9e3779b97f4a7c15ull}, uint64_t{12345},
+                          uint64_t{0xfeedfacecafebeefull}}) {
+      ExecutorOptions exec_options;
+      exec_options.threads = threads;
+      exec_options.steal_seed = seed;
+      // Small deque and injection queue: force overflow, not just the
+      // happy path.
+      exec_options.steal_deque_capacity = 4;
+      exec_options.queue_capacity = 32;
+      BatchExecutor executor(exec_options);
+      EvalSession session(instance, options);
+      std::vector<SolveRequest> requests;
+      requests.reserve(batch.size());
+      for (const DiGraph& q : batch) requests.push_back(SolveRequest(q));
+      std::vector<SolveTicket> tickets =
+          executor.SubmitBatch(session, std::move(requests));
+      std::vector<Result<SolveResult>> parallel =
+          BatchExecutor::Collect(tickets);
 
-        const std::string label =
-            std::string("backend=") + ToString(backend) +
-            " threads=" + std::to_string(threads) +
-            " stealing=" + (stealing ? "on" : "off") +
-            " seed=" + std::to_string(seed);
-        ASSERT_EQ(serial.size(), parallel.size());
-        for (size_t i = 0; i < serial.size(); ++i) {
-          ExpectResultsBitIdentical(serial[i], parallel[i],
-                                    label + " query " + std::to_string(i));
-        }
-        if (!stealing) {
-          EXPECT_EQ(executor.stats().tasks_stolen, 0u)
-              << "stealing disabled must never steal";
-        }
+      const std::string label = std::string("backend=") + ToString(backend) +
+                                " threads=" + std::to_string(threads) +
+                                " seed=" + std::to_string(seed);
+      ASSERT_EQ(serial.size(), parallel.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        ExpectResultsBitIdentical(serial[i], parallel[i],
+                                  label + " query " + std::to_string(i));
       }
     }
   }
