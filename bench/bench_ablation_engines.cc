@@ -4,7 +4,7 @@
 //     expansion along the tree order).
 //  B. Prop. 5.4 engine vs. the exact exponential fallback on small
 //     polytrees (what tractability buys).
-//  C. Prop. 4.11's minimal-interval two-pointer vs. forced fallback.
+//  C. Prop. 4.11's minimal-interval sweep vs. forced fallback.
 //  D. Exact-rational growth: output size (numerator+denominator bits) as a
 //     function of instance size — the "hidden" cost of exact inference.
 //

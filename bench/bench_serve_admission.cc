@@ -177,6 +177,7 @@ void BM_ServeAdmissionReactiveOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeAdmissionReactiveOnly)
     ->Arg(50)->Arg(1000)->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ServeAdmissionProactiveModel(benchmark::State& state) {
@@ -209,6 +210,7 @@ void BM_ServeAdmissionProactiveModel(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeAdmissionProactiveModel)
     ->Arg(50)->Arg(1000)->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ServeAdmissionShedding(benchmark::State& state) {
@@ -242,6 +244,7 @@ void BM_ServeAdmissionShedding(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeAdmissionShedding)
     ->Arg(50)->Arg(1000)->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

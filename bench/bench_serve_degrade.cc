@@ -143,6 +143,7 @@ void BM_ServeDegradePolicyOff(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeDegradePolicyOff)
     ->Arg(50)->Arg(1000)->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ServeDegradePolicyOn(benchmark::State& state) {
@@ -168,6 +169,7 @@ void BM_ServeDegradePolicyOn(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeDegradePolicyOn)
     ->Arg(50)->Arg(1000)->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -204,6 +206,7 @@ void BM_ServeDegradeHardCellBudget(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeDegradeHardCellBudget)
     ->Arg(2000)->Arg(10'000'000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -115,6 +115,7 @@ BENCHMARK(BM_EscalationThresholdSweep)
     ->Arg(6)    // 1e-6: loose, nothing tractable escalates
     ->Arg(12)   // 1e-12: borderline
     ->Arg(16)   // 1e-16: everything nondegenerate escalates
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

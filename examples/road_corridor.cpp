@@ -2,7 +2,8 @@
 // corridor of segments, each directed (one-way) and annotated with the
 // probability that it is open today. Arbitrary connected patterns — e.g.
 // "an eastbound stretch, then a westbound detour" — are evaluated in PTIME
-// via X-property homomorphism tests plus the β-acyclic interval lineage DP.
+// via one incremental arc-consistency fixpoint (the X-property minimal
+// windows) plus the β-acyclic interval lineage DP.
 //
 // Build & run:  ./build/examples/road_corridor
 
@@ -43,8 +44,8 @@ int main() {
     std::cout << name << "\n  cell " << r->analysis.cell << "  ["
               << r->analysis.proposition << "]  Pr = "
               << r->probability.ToDecimalString(6)
-              << "  (minimal matches tried: " << r->stats.hom_tests
-              << " hom tests)\n";
+              << "  (" << r->stats.lineage_clauses << " minimal matches from "
+              << r->stats.hom_tests << " arc-consistency fixpoint(s))\n";
   };
 
   // Pattern 1: four consecutive open highway segments, same direction.

@@ -10,8 +10,7 @@ template <class Num>
 Result<Num> SolveConnectedOn2wpComponentT(const DiGraph& query,
                                           const ProbGraph& component,
                                           TwoWayPathStats* stats,
-                                          MonotoneDnf* lineage_out,
-                                          MonotonicArena* scratch_arena) {
+                                          MonotoneDnf* lineage_out) {
   using Ops = NumericOps<Num>;
   const DiGraph& g = component.graph();
   if (!IsTwoWayPath(g)) {
@@ -38,29 +37,17 @@ Result<Num> SolveConnectedOn2wpComponentT(const DiGraph& query,
     edge_probs[k] = Ops::From(component.prob(*e));
   }
 
-  // Two-pointer sweep for the minimal homomorphic vertex windows
-  // [a .. b] (b > a); r(a) is non-decreasing in a. The sweep performs O(L)
-  // homomorphism tests against the SAME instance: one shared XPropScratch
-  // (backed by the caller's per-task arena when provided) serves them all,
-  // and the window domain is a span of `order` — no per-test allocations.
-  MonotonicArena local_arena;
-  XPropScratch scratch(scratch_arena != nullptr ? scratch_arena
-                                                : &local_arena);
-  auto window_has_hom = [&](size_t a, size_t b) {
-    if (stats != nullptr) ++stats->hom_tests;
-    return XPropertyHomomorphism(query, g, order, order.data() + a, b - a + 1,
-                                 &scratch)
-        .has_hom;
-  };
-
+  // Minimal homomorphic vertex windows [a .. r(a)] (r(a) > a, since the
+  // query has an edge and a 2WP no self-loop), read off one incremental
+  // arc-consistency fixpoint (hom/arc_consistency.h); the window over
+  // vertices a..r(a) is the edge interval [a, r(a) - 1].
+  if (stats != nullptr) ++stats->hom_tests;
+  std::vector<uint32_t> ends = XPropertyMinimalWindowEnds(query, g, order);
   std::vector<EdgeInterval> intervals;
-  size_t b = 1;
-  for (size_t a = 0; a + 1 <= length; ++a) {
-    if (b < a + 1) b = a + 1;
-    while (b <= length && !window_has_hom(a, b)) ++b;
-    if (b > length) break;  // no window starting at or after a can work
-    intervals.emplace_back(static_cast<uint32_t>(a),
-                           static_cast<uint32_t>(b - 1));
+  intervals.reserve(ends.size());
+  for (uint32_t a = 0; a < ends.size(); ++a) {
+    PHOM_CHECK(ends[a] > a);
+    intervals.emplace_back(a, ends[a] - 1);
   }
   if (stats != nullptr) stats->minimal_intervals = intervals.size();
   if (lineage_out != nullptr) {
@@ -77,14 +64,11 @@ Result<Num> SolveConnectedOn2wpComponentT(const DiGraph& query,
 }
 
 template Result<Rational> SolveConnectedOn2wpComponentT<Rational>(
-    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*,
-    MonotonicArena*);
+    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*);
 template Result<double> SolveConnectedOn2wpComponentT<double>(
-    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*,
-    MonotonicArena*);
+    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*);
 template Result<IntervalDouble>
 SolveConnectedOn2wpComponentT<IntervalDouble>(const DiGraph&, const ProbGraph&,
-                                              TwoWayPathStats*, MonotoneDnf*,
-                                              MonotonicArena*);
+                                              TwoWayPathStats*, MonotoneDnf*);
 
 }  // namespace phom

@@ -2,7 +2,6 @@
 
 #include "src/graph/prob_graph.h"
 #include "src/lineage/dnf.h"
-#include "src/util/arena.h"
 #include "src/util/numeric.h"
 #include "src/util/rational.h"
 #include "src/util/result.h"
@@ -13,17 +12,20 @@
 /// Pipeline (the three-step scheme of §4.2):
 ///  1. enumerate candidate matches = connected subpaths of the instance path;
 ///     by monotonicity only the inclusion-minimal homomorphic subpaths
-///     matter, found with a two-pointer sweep (min right endpoint is
-///     monotone in the left endpoint), so O(L) X-property homomorphism
-///     tests suffice;
-///  2. each test uses arc consistency, valid because every subpath has the
-///     X-property w.r.t. the path order (Theorem 4.13);
+///     matter: for each left end, the least right end (non-decreasing in
+///     the left end);
+///  2. all of them come from ONE arc-consistency fixpoint, valid because
+///     every subpath has the X-property w.r.t. the path order
+///     (Theorem 4.13): the least right end is the largest domain minimum,
+///     and advancing the left end only propagates its deletion
+///     (XPropertyMinimalWindowEnds);
 ///  3. the lineage is an interval DNF — β-acyclic by eliminating edges from
 ///     the path's end inward — evaluated by the O(L²) run-length DP.
 
 namespace phom {
 
 struct TwoWayPathStats {
+  /// Arc-consistency fixpoints established: one per component sweep.
   size_t hom_tests = 0;
   size_t minimal_intervals = 0;
 };
@@ -31,28 +33,20 @@ struct TwoWayPathStats {
 /// Pr(query ⇝ component) for a connected query with >= 1 edge on a single
 /// 2WP component, in the numeric backend of `Num`. `lineage_out`, if
 /// non-null, receives the interval DNF over the component's edge ids (for
-/// β-acyclicity checks and ablations). `scratch_arena`, if non-null, backs
-/// the sweep's homomorphism-test scratch (util/arena.h; the serve executor
-/// threads its per-task arena here via SolveOptions::scratch) — null falls
-/// back to a kernel-local arena, identical results either way.
+/// β-acyclicity checks and ablations).
 template <class Num>
 Result<Num> SolveConnectedOn2wpComponentT(const DiGraph& query,
                                           const ProbGraph& component,
                                           TwoWayPathStats* stats,
-                                          MonotoneDnf* lineage_out,
-                                          MonotonicArena* scratch_arena =
-                                              nullptr);
+                                          MonotoneDnf* lineage_out);
 
 extern template Result<Rational> SolveConnectedOn2wpComponentT<Rational>(
-    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*,
-    MonotonicArena*);
+    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*);
 extern template Result<double> SolveConnectedOn2wpComponentT<double>(
-    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*,
-    MonotonicArena*);
+    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*);
 extern template Result<IntervalDouble>
 SolveConnectedOn2wpComponentT<IntervalDouble>(const DiGraph&, const ProbGraph&,
-                                              TwoWayPathStats*, MonotoneDnf*,
-                                              MonotonicArena*);
+                                              TwoWayPathStats*, MonotoneDnf*);
 
 /// Exact-backend convenience (the historical entry point).
 inline Result<Rational> SolveConnectedOn2wpComponent(

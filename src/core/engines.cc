@@ -68,8 +68,7 @@ Result<Num> SolveComponentT(const DiGraph& query, bool query_is_1wp,
   if (cc.is_2wp) {
     TwoWayPathStats s;
     PHOM_ASSIGN_OR_RETURN(Num p, SolveConnectedOn2wpComponentT<Num>(
-                                     query, component, &s, nullptr,
-                                     options.scratch));
+                                     query, component, &s, nullptr));
     stats->hom_tests += s.hom_tests;
     stats->lineage_clauses += s.minimal_intervals;
     return p;

@@ -11,7 +11,6 @@
 #include "src/core/fallback.h"
 #include "src/core/monte_carlo.h"
 #include "src/graph/prob_graph.h"
-#include "src/util/arena.h"
 #include "src/util/numeric.h"
 #include "src/util/rational.h"
 #include "src/util/result.h"
@@ -215,14 +214,6 @@ struct SolveOptions {
   /// honored otherwise); see CancelToken (util/status.h). The pointee must
   /// outlive the solve.
   const CancelToken* cancel = nullptr;
-  /// Per-task scratch arena (util/arena.h) threaded down to allocation-hot
-  /// kernels (currently the 2WP minimal-window sweep and its
-  /// XPropertyHomomorphism scratch). Non-owning; null = kernels fall back
-  /// to a solve-local arena, with identical results. NOT thread-safe: the
-  /// pointee must be used by one solve at a time (the serve executor gives
-  /// each worker its own arena and resets it between tasks). Never affects
-  /// answers — scratch memory only.
-  MonotonicArena* scratch = nullptr;
 };
 
 /// The per-request knobs a serving layer may override on top of a session's
@@ -252,7 +243,7 @@ struct SolveStats {
   size_t components = 0;
   size_t fallback_components = 0;
   uint64_t worlds = 0;             ///< worlds enumerated/sampled by fallbacks
-  size_t hom_tests = 0;            ///< X-property AC calls (Prop. 4.11)
+  size_t hom_tests = 0;            ///< AC fixpoints, one per 2WP component
   size_t lineage_clauses = 0;      ///< interval/match clauses built
   size_t circuit_gates = 0;        ///< provenance circuit size (Prop. 5.4)
   size_t match_ends = 0;           ///< DWT match ends (Prop. 4.10)

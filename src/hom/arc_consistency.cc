@@ -1,43 +1,16 @@
 #include "src/hom/arc_consistency.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/status.h"
 
 namespace phom {
 
-namespace {
-
-/// Grows (re-carves) an arena-backed POD buffer to at least `needed`
-/// elements. Monotonic arenas never free, so the discarded buffer is
-/// reclaimed at the owner's next Reset — sizes are stable within a task, so
-/// this fires once per size class, not per call.
-template <class T>
-void EnsureCapacity(MonotonicArena* arena, T** buf, size_t* cap,
-                    size_t needed) {
-  if (*cap >= needed) return;
-  size_t grown = *cap == 0 ? 64 : *cap;
-  while (grown < needed) grown *= 2;
-  *buf = arena->AllocateArray<T>(grown);
-  *cap = grown;
-}
-
-}  // namespace
-
 XPropertyHomResult XPropertyHomomorphism(
     const DiGraph& query, const DiGraph& instance,
     const std::vector<VertexId>& order,
     const std::vector<VertexId>& initial_domain) {
-  MonotonicArena arena;
-  XPropScratch scratch(&arena);
-  return XPropertyHomomorphism(query, instance, order, initial_domain.data(),
-                               initial_domain.size(), &scratch);
-}
-
-XPropertyHomResult XPropertyHomomorphism(
-    const DiGraph& query, const DiGraph& instance,
-    const std::vector<VertexId>& order, const VertexId* initial_domain,
-    size_t initial_domain_size, XPropScratch* scratch) {
   XPropertyHomResult out;
   size_t nq = query.num_vertices();
   size_t ni = instance.num_vertices();
@@ -47,52 +20,21 @@ XPropertyHomResult XPropertyHomomorphism(
   }
   if (ni == 0) return out;
 
-  // Domains as a flat nq × ni membership bitmap in the scratch.
-  EnsureCapacity(scratch->arena, &scratch->domain, &scratch->domain_cap,
-                 nq * ni);
-  uint8_t* domain = scratch->domain;
-  std::fill(domain, domain + nq * ni,
-            static_cast<uint8_t>(initial_domain_size == 0 ? 1 : 0));
-  if (initial_domain_size != 0) {
-    for (size_t u = 0; u < nq; ++u) {
-      uint8_t* row = domain + u * ni;
-      for (size_t i = 0; i < initial_domain_size; ++i) {
-        row[initial_domain[i]] = 1;
-      }
-    }
+  // Domains as a flat nq × ni membership bitmap.
+  std::vector<uint8_t> domain(nq * ni, initial_domain.empty() ? 1 : 0);
+  for (size_t u = 0; u < nq; ++u) {
+    for (VertexId a : initial_domain) domain[u * ni + a] = 1;
   }
 
   // AC-3 over the directed constraints given by query edges. For a query
   // edge u -R-> v we must revise both endpoints: a ∈ D(u) needs some
   // b ∈ D(v) with a -R-> b, and b ∈ D(v) needs some a ∈ D(u) with a -R-> b.
-  // The worklist is a FIFO of (edge << 1) | revise_source? entries in a
-  // scratch buffer; on overflow the live region compacts into a doubled
-  // carve (same order, so the revision sequence is unchanged).
+  // The worklist is a FIFO of (edge << 1) | revise_source? entries.
+  std::vector<uint32_t> work;
   size_t work_head = 0;
-  size_t work_tail = 0;
-  EnsureCapacity(scratch->arena, &scratch->work, &scratch->work_cap,
-                 2 * static_cast<size_t>(query.num_edges()) + 16);
   auto push_work = [&](EdgeId e, bool revise_source) {
-    if (work_tail == scratch->work_cap) {
-      const size_t live = work_tail - work_head;
-      if (live * 2 <= scratch->work_cap) {
-        // Plenty of consumed space at the front: slide instead of growing.
-        std::copy(scratch->work + work_head, scratch->work + work_tail,
-                  scratch->work);
-      } else {
-        uint32_t* old = scratch->work;
-        size_t old_head = work_head;
-        scratch->work = nullptr;
-        scratch->work_cap = 0;
-        EnsureCapacity(scratch->arena, &scratch->work, &scratch->work_cap,
-                       live * 2);
-        std::copy(old + old_head, old + old_head + live, scratch->work);
-      }
-      work_head = 0;
-      work_tail = live;
-    }
-    scratch->work[work_tail++] =
-        (static_cast<uint32_t>(e) << 1) | (revise_source ? 1u : 0u);
+    work.push_back((static_cast<uint32_t>(e) << 1) |
+                   (revise_source ? 1u : 0u));
   };
   for (EdgeId e = 0; e < query.num_edges(); ++e) {
     push_work(e, true);
@@ -104,15 +46,15 @@ XPropertyHomResult XPropertyHomomorphism(
     for (EdgeId e : query.InEdges(u)) push_work(e, true);
   };
 
-  while (work_head != work_tail) {
-    const uint32_t item = scratch->work[work_head++];
+  while (work_head != work.size()) {
+    const uint32_t item = work[work_head++];
     const EdgeId e = static_cast<EdgeId>(item >> 1);
     const bool revise_source = (item & 1u) != 0;
     const Edge& qe = query.edge(e);
     VertexId revised = revise_source ? qe.src : qe.dst;
     VertexId other = revise_source ? qe.dst : qe.src;
-    uint8_t* revised_row = domain + static_cast<size_t>(revised) * ni;
-    const uint8_t* other_row = domain + static_cast<size_t>(other) * ni;
+    uint8_t* revised_row = domain.data() + static_cast<size_t>(revised) * ni;
+    const uint8_t* other_row = domain.data() + static_cast<size_t>(other) * ni;
     bool changed = false;
     for (VertexId a = 0; a < ni; ++a) {
       if (!revised_row[a]) continue;
@@ -149,13 +91,11 @@ XPropertyHomResult XPropertyHomomorphism(
 
   // Min-closed constraints: the per-vertex minima (w.r.t. the X-property
   // order) of arc-consistent domains form a homomorphism.
-  EnsureCapacity(scratch->arena, &scratch->pos, &scratch->pos_cap, ni);
-  uint32_t* pos = scratch->pos;
-  std::fill(pos, pos + ni, UINT32_MAX);
+  std::vector<uint32_t> pos(ni, UINT32_MAX);
   for (uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
   out.witness.assign(nq, 0);
   for (VertexId u = 0; u < nq; ++u) {
-    const uint8_t* row = domain + static_cast<size_t>(u) * ni;
+    const uint8_t* row = domain.data() + static_cast<size_t>(u) * ni;
     uint32_t best_pos = UINT32_MAX;
     VertexId best = 0;
     bool any = false;
@@ -182,6 +122,108 @@ XPropertyHomResult XPropertyHomomorphism(
   }
   out.has_hom = true;
   return out;
+}
+
+std::vector<uint32_t> XPropertyMinimalWindowEnds(
+    const DiGraph& query, const DiGraph& instance,
+    const std::vector<VertexId>& order) {
+  const size_t nq = query.num_vertices();
+  const uint32_t n = static_cast<uint32_t>(order.size());
+  std::vector<uint32_t> pos(instance.num_vertices(), UINT32_MAX);
+  for (uint32_t i = 0; i < n; ++i) pos[order[i]] = i;
+
+  // D(u) as a bitmap over ORDER POSITIONS (row u of nq × n), with sizes.
+  // Deleted (u, p) pairs wait on `dead` until their loss of support has
+  // been propagated (each pair is deleted at most once, so one reservation
+  // covers the sweep); `wiped` records that some domain emptied.
+  std::vector<uint8_t> domain(nq * n, 1);
+  auto in = [&](VertexId u, uint32_t p) -> uint8_t& {
+    return domain[static_cast<size_t>(u) * n + p];
+  };
+  std::vector<uint32_t> size(nq, n);
+  std::vector<std::pair<VertexId, uint32_t>> dead;
+  dead.reserve(nq * n);
+  bool wiped = false;
+  auto remove = [&](VertexId u, uint32_t p) {
+    in(u, p) = 0;
+    if (--size[u] == 0) wiped = true;
+    dead.emplace_back(u, p);
+  };
+  // Does position p, as an image of query edge e's source (revise_source)
+  // or destination, still have an e-edge into the other endpoint's domain?
+  auto supported = [&](const Edge& qe, bool revise_source, uint32_t p) {
+    const VertexId other = revise_source ? qe.dst : qe.src;
+    const VertexId v = order[p];
+    for (EdgeId ie :
+         revise_source ? instance.OutEdges(v) : instance.InEdges(v)) {
+      const Edge& h = instance.edge(ie);
+      const uint32_t q = pos[revise_source ? h.dst : h.src];
+      if (h.label == qe.label && q != UINT32_MAX && in(other, q)) return true;
+    }
+    return false;
+  };
+  // A deleted (u, p) can only cost support to the instance neighbours of
+  // order[p] along the query edges at u: recheck exactly those values.
+  auto propagate = [&] {
+    while (!dead.empty() && !wiped) {
+      const auto [u, p] = dead.back();
+      dead.pop_back();
+      const VertexId v = order[p];
+      for (bool out : {true, false}) {  // u -R-> w, then w -R-> u
+        for (EdgeId e : out ? query.OutEdges(u) : query.InEdges(u)) {
+          const Edge& qe = query.edge(e);
+          const VertexId w = out ? qe.dst : qe.src;
+          for (EdgeId ie : out ? instance.OutEdges(v) : instance.InEdges(v)) {
+            const Edge& h = instance.edge(ie);
+            const uint32_t q = pos[out ? h.dst : h.src];
+            if (h.label == qe.label && q != UINT32_MAX && in(w, q) &&
+                !supported(qe, !out, q)) {
+              remove(w, q);
+            }
+          }
+        }
+      }
+    }
+    return !wiped;
+  };
+
+  // Establish AC on the whole order: check every value once against every
+  // constraint at its vertex; later losses of support arrive via `dead`.
+  for (const Edge& qe : query.edges()) {
+    for (bool revise_source : {true, false}) {
+      const VertexId u = revise_source ? qe.src : qe.dst;
+      for (uint32_t p = 0; p < n && !wiped; ++p) {
+        if (in(u, p) && !supported(qe, revise_source, p)) {
+          remove(u, p);
+        }
+      }
+    }
+  }
+
+  std::vector<uint32_t> ends;
+  ends.reserve(n);
+  // lo[u] = min D(u); domains only shrink, so it only moves right.
+  std::vector<uint32_t> lo(nq, 0);
+  std::vector<VertexId> witness(nq);
+  for (uint32_t a = 0; a < n && propagate(); ++a) {
+    uint32_t b = a;
+    for (VertexId u = 0; u < nq; ++u) {
+      while (!in(u, lo[u])) ++lo[u];
+      b = std::max(b, lo[u]);
+      witness[u] = order[lo[u]];
+    }
+    for (const Edge& qe : query.edges()) {
+      PHOM_CHECK_MSG(
+          instance.HasEdge(witness[qe.src], witness[qe.dst], qe.label),
+          "X-property witness invalid: instance lacks the X-property w.r.t. "
+          "the provided order");
+    }
+    ends.push_back(b);
+    for (VertexId u = 0; u < nq; ++u) {
+      if (in(u, a)) remove(u, a);
+    }
+  }
+  return ends;
 }
 
 bool HasXProperty(const DiGraph& instance,

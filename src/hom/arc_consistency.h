@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/graph/digraph.h"
-#include "src/util/arena.h"
 #include "src/util/result.h"
 
 /// \file arc_consistency.h
@@ -24,6 +23,20 @@
 /// witness (a PHOM_CHECK — it cannot fail when the precondition holds).
 /// Instances that are (sub)paths trivially have the X-property, which is how
 /// Prop. 4.11 uses this machinery.
+///
+/// Minimal windows from one fixpoint. Prop. 4.11 needs, for every left end
+/// a of the order, the least right end r(a) such that the query maps into
+/// the window order[a .. r(a)]. Let D_a be the arc-consistent domains of the
+/// suffix window order[a ..]. AC never removes a value used by a
+/// homomorphism, so any h into [a .. b] has min D_a(u) <= h(u) <= b for
+/// every u; and min-closure makes u ↦ min D_a(u) itself a homomorphism, one
+/// that lies inside [a .. max_u min D_a(u)]. Hence r(a) = max_u min D_a(u),
+/// and if some D_a(u) is empty no window starts at or after a. Moving from
+/// a to a+1 only deletes position a from every domain, so
+/// XPropertyMinimalWindowEnds establishes AC once on the whole order and
+/// then, per left end, propagates just those deletions: the greatest
+/// arc-consistent subdomain it reaches is the one a restart on [a+1 ..]
+/// would compute.
 
 namespace phom {
 
@@ -32,31 +45,6 @@ struct XPropertyHomResult {
   /// A witness homomorphism (query vertex -> instance vertex); valid iff
   /// has_hom.
   std::vector<VertexId> witness;
-};
-
-/// Reusable scratch for XPropertyHomomorphism. One AC-3 run needs a
-/// query×instance domain bitmap, a position table and a worklist; a caller
-/// running MANY tests against the same instance (the 2WP minimal-window
-/// sweep performs O(|path|) of them back to back) hands the same scratch to
-/// every call and pays for the buffers once instead of per test. All buffers
-/// are POD and carved from the backing MonotonicArena (util/arena.h), so a
-/// serve worker that resets its per-task arena between requests reuses the
-/// same memory with zero allocations after warm-up.
-///
-/// The struct only caches CAPACITY, never content: every call refills what
-/// it reads, so a scratch can be reused across unrelated query/instance
-/// pairs (growing sizes re-carve from the arena).
-struct XPropScratch {
-  /// `arena` must outlive the scratch and every call using it (non-owning).
-  explicit XPropScratch(MonotonicArena* arena) : arena(arena) {}
-
-  MonotonicArena* arena;
-  uint8_t* domain = nullptr;   ///< nq × ni membership bitmap
-  uint32_t* pos = nullptr;     ///< instance vertex -> X-order position
-  uint32_t* work = nullptr;    ///< AC-3 worklist ring: (edge << 1) | src-flag
-  size_t domain_cap = 0;
-  size_t pos_cap = 0;
-  size_t work_cap = 0;
 };
 
 /// Decides query ⇝ instance, where `order` lists instance vertices in a total
@@ -69,14 +57,16 @@ XPropertyHomResult XPropertyHomomorphism(
     const std::vector<VertexId>& order,
     const std::vector<VertexId>& initial_domain = {});
 
-/// Allocation-lean variant: `initial_domain` is a raw span (the 2WP sweep
-/// passes a window of `order` directly, no staging vector) and every
-/// temporary lives in `scratch`. Pass (nullptr, 0) for an unrestricted
-/// domain. Semantics and result are identical to the vector overload.
-XPropertyHomResult XPropertyHomomorphism(
+/// Prop. 4.11's minimal-window sweep over an instance with the X-property
+/// w.r.t. `order` (see the file comment): returns `ends` with ends[a] the
+/// least b such that query ⇝ instance restricted to order[a .. b], for
+/// a = 0, 1, ... up to the first left end that has no such window (none
+/// after it does either, since ends is non-decreasing). Establishes one
+/// arc-consistency fixpoint and verifies every minimum witness, so a
+/// violated precondition trips a PHOM_CHECK instead of a wrong window.
+std::vector<uint32_t> XPropertyMinimalWindowEnds(
     const DiGraph& query, const DiGraph& instance,
-    const std::vector<VertexId>& order, const VertexId* initial_domain,
-    size_t initial_domain_size, XPropScratch* scratch);
+    const std::vector<VertexId>& order);
 
 /// Checks Definition 4.12 directly in O(|E|² · labels) — test helper.
 bool HasXProperty(const DiGraph& instance, const std::vector<VertexId>& order);

@@ -432,22 +432,6 @@ void BatchExecutor::MaybeEscalate(internal::RequestState& req,
   escalated_succeeded_.fetch_add(1, std::memory_order_relaxed);
 }
 
-MonotonicArena* BatchExecutor::TaskArena(size_t self) {
-  MonotonicArena* arena;
-  if (self != kNoWorker) {
-    // A worker's RunTask only ever runs on the owning worker thread
-    // (WorkerLoop and FanOut recursion), so its arena is single-threaded.
-    arena = &worker_state_[self]->arena;
-  } else {
-    // Helpers (Submit-inline, collect-helping, the destructor) get one
-    // arena per thread with the same reuse discipline.
-    static thread_local MonotonicArena helper_arena;
-    arena = &helper_arena;
-  }
-  arena->Reset();
-  return arena;
-}
-
 void BatchExecutor::FanOut(const Task& root, size_t self) {
   internal::RequestState& req = *root.request;
   const size_t n = req.dispatch.components;
@@ -552,11 +536,7 @@ void BatchExecutor::RunTask(const Task& task, size_t self) {
     MarkExactStarted(req);
     Result<SolveResult> result = PendingResult();
     try {
-      // Thread the per-task arena through SolveOptions::scratch: kernels
-      // reuse it for AC-3 buffers instead of mallocing (answers unchanged).
-      SolveOptions opts = req.options;
-      opts.scratch = TaskArena(self);
-      result = SolvePrepared(req.prepared, opts);
+      result = SolvePrepared(req.prepared, req.options);
     } catch (const std::exception& e) {
       result =
           Status::Invalid(std::string("serve: worker exception: ") + e.what());
@@ -576,10 +556,8 @@ void BatchExecutor::RunTask(const Task& task, size_t self) {
     req.work_started.store(true, std::memory_order_relaxed);
     MarkExactStarted(req);
     try {
-      SolveOptions opts = req.options;
-      opts.scratch = TaskArena(self);
-      req.parts[c] =
-          SolvePreparedComponent(req.prepared, req.dispatch, c, opts);
+      req.parts[c] = SolvePreparedComponent(req.prepared, req.dispatch, c,
+                                            req.options);
     } catch (const std::exception& e) {
       req.parts[c] =
           Status::Invalid(std::string("serve: worker exception: ") + e.what());

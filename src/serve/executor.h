@@ -20,7 +20,6 @@
 #include "src/serve/mpmc_queue.h"
 #include "src/serve/request.h"
 #include "src/serve/work_steal_deque.h"
-#include "src/util/arena.h"
 
 /// \file executor.h
 /// Parallel batch serving: a fixed-size thread pool that fans requests —
@@ -104,12 +103,6 @@
 ///     (bit-identical results at every thread count).
 /// Every completed exact solve is recorded back into the model, so
 /// predictions sharpen as the pool serves.
-///
-/// HOT-PATH SCRATCH: each worker owns a MonotonicArena (util/arena.h),
-/// reset between tasks and threaded through SolveOptions::scratch into the
-/// solving kernels, so steady-state component solves perform no scratch
-/// mallocs. Helpers running tasks inline use a thread-local arena with the
-/// same discipline. Scratch never influences answers.
 ///
 /// The synchronous API (SolveBatch/SolveItems) is a thin submit+wait
 /// wrapper over the same path; while waiting, the calling thread helps
@@ -382,10 +375,6 @@ class BatchExecutor {
     std::atomic<size_t> edf_size{0};
     /// Victim-selection RNG; touched ONLY by the owning worker thread.
     std::mt19937_64 rng;
-    /// Per-task scratch (SolveOptions::scratch), reset between tasks;
-    /// touched only by whichever thread runs this worker's RunTask — which
-    /// is only the owning worker thread.
-    MonotonicArena arena;
   };
 
   static constexpr size_t kNoWorker = static_cast<size_t>(-1);
@@ -422,9 +411,6 @@ class BatchExecutor {
   bool AllRequestsFinished();
   void NotifyOne();
   void NotifyAll();
-  /// The arena backing SolveOptions::scratch for a task run by `self` (a
-  /// worker's own arena, or a thread-local one for helpers), reset for use.
-  MonotonicArena* TaskArena(size_t self);
   /// Marks the request's first exact solving work (counter bump, once).
   void MarkExactStarted(internal::RequestState& req);
   /// Charges the request's predicted cost to the backlog and registers its

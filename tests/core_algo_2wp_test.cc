@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/fallback.h"
 #include "src/graph/builders.h"
+#include "src/graph/classify.h"
 #include "src/graph/generators.h"
+#include "src/hom/arc_consistency.h"
 
 namespace phom {
 namespace {
@@ -103,6 +107,104 @@ TEST(Algo2wp, TwoPointerStats) {
   TwoWayPathStats stats;
   ASSERT_TRUE(SolveConnectedOn2wpComponent(MakeOneWayPath(3), h, &stats).ok());
   EXPECT_LE(stats.hom_tests, 2 * 60 + 2u);
+}
+
+// Reference for the incremental sweep: the restart sweep it replaced, one
+// XPropertyHomomorphism call per window tried. ends[a] is the least b with
+// query ⇝ instance restricted to order[a .. b]; stops at the first a
+// without one.
+std::vector<uint32_t> RestartSweepEnds(const DiGraph& query,
+                                       const DiGraph& instance,
+                                       const std::vector<VertexId>& order) {
+  std::vector<uint32_t> ends;
+  size_t b = 0;
+  for (size_t a = 0; a < order.size(); ++a) {
+    b = std::max(b, a);
+    auto fits = [&](size_t right) {
+      std::vector<VertexId> window(order.begin() + a,
+                                   order.begin() + right + 1);
+      return XPropertyHomomorphism(query, instance, order, window).has_hom;
+    };
+    while (b < order.size() && !fits(b)) ++b;
+    if (b == order.size()) break;
+    ends.push_back(static_cast<uint32_t>(b));
+  }
+  return ends;
+}
+
+// Runs the incremental sweep and the 2WP kernel on (query, h) and checks
+// both against the restart sweep: the same window ends, the same interval
+// lineage clause for clause, one AC fixpoint per component.
+void ExpectSweepMatchesRestart(const DiGraph& query, const ProbGraph& h) {
+  const DiGraph& g = h.graph();
+  std::vector<VertexId> order = TwoWayPathOrder(g);
+  std::vector<uint32_t> expected = RestartSweepEnds(query, g, order);
+  EXPECT_EQ(XPropertyMinimalWindowEnds(query, g, order), expected);
+
+  TwoWayPathStats stats;
+  MonotoneDnf lineage(0);
+  ASSERT_TRUE(
+      SolveConnectedOn2wpComponentT<double>(query, h, &stats, &lineage).ok());
+  EXPECT_EQ(stats.hom_tests, 1u);
+  EXPECT_EQ(stats.minimal_intervals, expected.size());
+  ASSERT_EQ(lineage.num_clauses(), expected.size());
+  for (uint32_t a = 0; a < expected.size(); ++a) {
+    std::vector<uint32_t> clause;
+    for (uint32_t k = a; k < expected[a]; ++k) {
+      std::optional<EdgeId> e = g.FindEdge(order[k], order[k + 1]);
+      if (!e.has_value()) e = g.FindEdge(order[k + 1], order[k]);
+      clause.push_back(*e);
+    }
+    std::sort(clause.begin(), clause.end());
+    EXPECT_EQ(lineage.clauses()[a], clause) << "window " << a;
+  }
+}
+
+TEST(Algo2wp, IncrementalSweepMatchesRestartSweep) {
+  Rng rng(104);
+  for (int trial = 0; trial < 120; ++trial) {
+    const size_t labels = rng.UniformInt(1, 3);
+    const size_t length = rng.UniformInt(1, 40);
+    ProbGraph h = AttachRandomProbabilities(
+        &rng, RandomTwoWayPath(&rng, length, labels), 3, 0.25);
+    std::vector<LabelId> star_labels(rng.UniformInt(1, 4));
+    for (LabelId& l : star_labels) l = rng.UniformInt(0, labels - 1);
+    const DiGraph queries[] = {
+        RandomTwoWayPath(&rng, rng.UniformInt(1, 6), labels),
+        RandomDownwardTree(&rng, rng.UniformInt(2, 6), labels),
+        MakeDownwardTree(std::vector<VertexId>(star_labels.size(), 0),
+                         star_labels),
+        RandomOneWayPath(&rng, length + rng.UniformInt(1, 3), labels),
+    };
+    for (const DiGraph& q : queries) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial);
+      ExpectSweepMatchesRestart(q, h);
+    }
+  }
+}
+
+TEST(Algo2wp, IncrementalSweepEdgeCases) {
+  // Single-edge instance: the one window, and nothing for a longer query.
+  ProbGraph edge(2);
+  AddEdgeOrDie(&edge, 0, 1, 0, Rational(1, 3));
+  ExpectSweepMatchesRestart(MakeOneWayPath(1), edge);
+  ExpectSweepMatchesRestart(MakeOutStar(3), edge);
+  ExpectSweepMatchesRestart(MakeOneWayPath(2), edge);
+  EXPECT_EQ(XPropertyMinimalWindowEnds(MakeOneWayPath(1), edge.graph(),
+                                       TwoWayPathOrder(edge.graph())),
+            std::vector<uint32_t>{1});
+
+  // Empty result after propagation: a 1WP longer than a 1WP instance.
+  ProbGraph path = ProbGraph::Certain(MakeOneWayPath(5));
+  ExpectSweepMatchesRestart(MakeOneWayPath(6), path);
+  EXPECT_TRUE(XPropertyMinimalWindowEnds(MakeOneWayPath(6), path.graph(),
+                                         TwoWayPathOrder(path.graph()))
+                  .empty());
+
+  // The first AC pass already empties a domain: a label the instance lacks.
+  DiGraph foreign = MakeTwoWayPath({{0, true}, {2, false}});
+  ExpectSweepMatchesRestart(foreign, path);
+  EXPECT_EQ(*SolveConnectedOn2wpComponent(foreign, path), Rational::Zero());
 }
 
 }  // namespace
