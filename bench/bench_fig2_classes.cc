@@ -1,8 +1,8 @@
 // Figure 2: the inclusion diagram of the graph classes
 //   1WP ⊆ 2WP ⊆ PT,  1WP ⊆ DWT ⊆ PT ⊆ Connected ⊆ All.
-// This bench measures recognizer throughput and verifies every inclusion
-// edge of the diagram on a large random sample, plus the near-disjointness
-// of 2WP and DWT beyond out-directed paths.
+// This bench measures recognizer and context-build throughput and verifies
+// every inclusion edge of the diagram on a large random sample, plus the
+// near-disjointness of 2WP and DWT beyond out-directed paths.
 
 #include <benchmark/benchmark.h>
 
@@ -34,6 +34,29 @@ void BM_Fig2_ClassifyDisconnected(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig2_ClassifyDisconnected)->RangeMultiplier(4)->Range(64, 16384)
     ->Unit(benchmark::kMicrosecond)->Complexity();
+
+// A tenant-shaped instance (the serving benchmark's tenants-double): a 2WP
+// and a comb DWT of about edges/2 edges each, two labels, dyadic
+// probabilities. The context build splits and classifies it; the restricted
+// whole instance stays unbuilt.
+void BM_Fig2_BuildInstanceContext(benchmark::State& state) {
+  Rng rng(34);
+  const size_t half = static_cast<size_t>(state.range(0)) / 2;
+  DiGraph comb(half + 1);
+  for (VertexId v = 1; v <= half; ++v) {
+    const VertexId parent = v < 2 ? 0 : v - 1 - (v % 2);  // spine 0-1-3-5-...
+    AddEdgeOrDie(&comb, parent, v, static_cast<LabelId>(rng.UniformInt(0, 1)));
+  }
+  ProbGraph instance = AttachRandomProbabilities(
+      &rng, DisjointUnion({RandomTwoWayPath(&rng, half, 2), comb}), 4);
+  const std::vector<LabelId> labels = {0, 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildInstanceContext(instance, labels));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_Fig2_BuildInstanceContext)->RangeMultiplier(4)->Range(32, 4096)
+    ->Unit(benchmark::kMicrosecond)->UseRealTime()->Complexity();
 
 void VerifyInclusionDiagram() {
   Rng rng(33);

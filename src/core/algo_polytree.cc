@@ -34,9 +34,9 @@ Result<Num> SolvePathProbabilityOnPolytreeT(uint32_t m,
 }
 
 template <class Num>
-Result<Num> SolveDwtQueryOnPolytreeForestT(const DiGraph& query,
-                                           const ProbGraph& instance,
-                                           PolytreeStats* stats) {
+Result<Num> SolveDwtQueryOnPolytreeForestT(
+    const DiGraph& query, const std::vector<ComponentView>& components,
+    PolytreeStats* stats) {
   using Ops = NumericOps<Num>;
   Classification qc = Classify(query);
   if (!qc.all_dwt) {
@@ -52,7 +52,7 @@ Result<Num> SolveDwtQueryOnPolytreeForestT(const DiGraph& query,
 
   // Lemma 3.7 across components.
   Num none = Ops::One();
-  for (const ComponentView& comp : SplitComponents(instance)) {
+  for (const ComponentView& comp : components) {
     if (!IsPolytree(comp.graph.graph())) {
       return Status::Invalid("instance component is not a polytree");
     }
@@ -71,12 +71,10 @@ template Result<IntervalDouble>
 SolvePathProbabilityOnPolytreeT<IntervalDouble>(uint32_t, const ProbGraph&,
                                                 PolytreeStats*);
 template Result<Rational> SolveDwtQueryOnPolytreeForestT<Rational>(
-    const DiGraph&, const ProbGraph&, PolytreeStats*);
+    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
 template Result<double> SolveDwtQueryOnPolytreeForestT<double>(
-    const DiGraph&, const ProbGraph&, PolytreeStats*);
-template Result<IntervalDouble>
-SolveDwtQueryOnPolytreeForestT<IntervalDouble>(const DiGraph&,
-                                               const ProbGraph&,
-                                               PolytreeStats*);
+    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
+template Result<IntervalDouble> SolveDwtQueryOnPolytreeForestT<IntervalDouble>(
+    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
 
 }  // namespace phom

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "src/graph/prob_graph.h"
 #include "src/util/numeric.h"
 #include "src/util/rational.h"
@@ -32,11 +34,21 @@ Result<Num> SolvePathProbabilityOnPolytreeT(uint32_t m,
                                             const ProbGraph& component,
                                             PolytreeStats* stats);
 
-/// Full Props. 5.4/5.5 solver: unlabeled ⊔DWT query on a ⊔PT instance.
+/// Full Props. 5.4/5.5 solver: unlabeled ⊔DWT query on a ⊔PT instance given
+/// by its components (SplitComponents, or InstanceContext::components).
+template <class Num>
+Result<Num> SolveDwtQueryOnPolytreeForestT(
+    const DiGraph& query, const std::vector<ComponentView>& components,
+    PolytreeStats* stats);
+
+/// Same, on the whole instance: splits it once and delegates.
 template <class Num>
 Result<Num> SolveDwtQueryOnPolytreeForestT(const DiGraph& query,
                                            const ProbGraph& instance,
-                                           PolytreeStats* stats);
+                                           PolytreeStats* stats) {
+  return SolveDwtQueryOnPolytreeForestT<Num>(query, SplitComponents(instance),
+                                             stats);
+}
 
 extern template Result<Rational> SolvePathProbabilityOnPolytreeT<Rational>(
     uint32_t, const ProbGraph&, PolytreeStats*);
@@ -46,13 +58,12 @@ extern template Result<IntervalDouble>
 SolvePathProbabilityOnPolytreeT<IntervalDouble>(uint32_t, const ProbGraph&,
                                                 PolytreeStats*);
 extern template Result<Rational> SolveDwtQueryOnPolytreeForestT<Rational>(
-    const DiGraph&, const ProbGraph&, PolytreeStats*);
+    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
 extern template Result<double> SolveDwtQueryOnPolytreeForestT<double>(
-    const DiGraph&, const ProbGraph&, PolytreeStats*);
+    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
 extern template Result<IntervalDouble>
-SolveDwtQueryOnPolytreeForestT<IntervalDouble>(const DiGraph&,
-                                               const ProbGraph&,
-                                               PolytreeStats*);
+SolveDwtQueryOnPolytreeForestT<IntervalDouble>(
+    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
 
 /// Exact-backend conveniences (the historical entry points).
 inline Result<Rational> SolvePathProbabilityOnPolytree(

@@ -72,21 +72,34 @@ std::string HardnessCitation(bool unlabeled, const Classification& query,
 
 }  // namespace
 
+const ProbGraph& InstanceContext::instance() const {
+  std::call_once(instance_once_,
+                 [this] { instance_ = MergeComponents(components); });
+  return instance_;
+}
+
+size_t InstanceContext::NumUncertainEdges() const {
+  size_t count = 0;
+  for (const ComponentView& comp : components) {
+    count += comp.graph.NumUncertainEdges();
+  }
+  return count;
+}
+
 const ProbGraph& PreparedProblem::instance() const {
   static const ProbGraph kEmpty(0);
-  return context != nullptr ? context->instance : kEmpty;
+  return context != nullptr ? context->instance() : kEmpty;
 }
 
 std::shared_ptr<const InstanceContext> BuildInstanceContext(
     const ProbGraph& instance, const std::vector<LabelId>& labels) {
   auto ctx = std::make_shared<InstanceContext>();
-  ctx->instance = instance.RestrictToLabels(labels);
-  ctx->instance_class = Classify(ctx->instance.graph());
-  ctx->components = SplitComponents(ctx->instance);
+  ctx->components = SplitComponents(instance, labels);
   ctx->component_classes.reserve(ctx->components.size());
   for (const ComponentView& comp : ctx->components) {
     ctx->component_classes.push_back(Classify(comp.graph.graph()));
   }
+  ctx->instance_class = ClassifyUnion(ctx->component_classes);
   return ctx;
 }
 

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,12 +69,35 @@ struct CaseAnalysis {
 
 /// The query-independent half of problem preparation: the instance restricted
 /// to one label set, split into components, each component classified.
-/// Immutable once built; shared (and cached) via shared_ptr.
+/// Shared (and cached) via shared_ptr.
+///
+/// Eager (BuildInstanceContext, one pass): `components` come straight from
+/// the unrestricted instance under the label filter, each is classified once,
+/// and `instance_class` is derived from `component_classes` (ClassifyUnion)
+/// without classifying the whole graph.
+///
+/// Lazy: the label-restricted whole instance, reassembled from `components`
+/// by MergeComponents on the first instance() call. Only whole-instance
+/// engines (world enumeration, match lineage, Monte Carlo, the unlabeled-DWT
+/// kernel) and the lifted UCQ planner read it; componentwise solves never
+/// build it.
+///
+/// Thread safety: the eager fields are immutable once built, and the lazy
+/// instance is built exactly once under std::call_once, so one const context
+/// may be read from any number of threads.
 struct InstanceContext {
-  ProbGraph instance;  ///< label-restricted instance
-  Classification instance_class;
+  Classification instance_class;  ///< of the restricted instance
   std::vector<ComponentView> components;
   std::vector<Classification> component_classes;  ///< aligned with components
+
+  /// The label-restricted instance (built on first use).
+  const ProbGraph& instance() const;
+  /// Its number of uncertain edges, summed over `components`.
+  size_t NumUncertainEdges() const;
+
+ private:
+  mutable std::once_flag instance_once_;
+  mutable ProbGraph instance_;
 };
 
 /// Builds the context for `labels` (the query's used labels, sorted).
@@ -102,6 +126,7 @@ struct PreparedProblem {
   std::shared_ptr<const lifted::PreparedUcq> ucq;
 
   /// The label-restricted instance (empty graph when context is null).
+  /// Builds the context's lazy instance on first use.
   const ProbGraph& instance() const;
 };
 

@@ -236,8 +236,8 @@ class PolytreeEngine : public Engine {
       using Num = typename decltype(tag)::type;
       PolytreeStats s;
       PHOM_ASSIGN_OR_RETURN(
-          Num p, SolveDwtQueryOnPolytreeForestT<Num>(prepared.query,
-                                                     prepared.instance(), &s));
+          Num p, SolveDwtQueryOnPolytreeForestT<Num>(
+                     prepared.query, prepared.context->components, &s));
       stats->circuit_gates += s.circuit_gates;
       return p;
     });

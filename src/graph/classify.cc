@@ -1,7 +1,7 @@
 #include "src/graph/classify.h"
 
 #include <algorithm>
-#include <queue>
+#include <cstdint>
 
 #include "src/util/status.h"
 
@@ -30,152 +30,103 @@ Result<GraphClass> ParseGraphClass(std::string_view text) {
                          "'");
 }
 
-std::vector<std::vector<VertexId>> ConnectedComponents(const DiGraph& g) {
-  std::vector<int32_t> comp(g.num_vertices(), -1);
-  std::vector<std::vector<VertexId>> out;
+namespace {
+
+constexpr uint32_t kNoComponent = UINT32_MAX;
+
+/// Numbers the connected components of the underlying undirected graph by
+/// smallest vertex, writing each vertex's component to `comp`; returns the
+/// number of components.
+uint32_t LabelComponents(const DiGraph& g, std::vector<uint32_t>* comp) {
+  comp->assign(g.num_vertices(), kNoComponent);
+  std::vector<VertexId> stack;
+  uint32_t count = 0;
   for (VertexId start = 0; start < g.num_vertices(); ++start) {
-    if (comp[start] >= 0) continue;
-    int32_t id = static_cast<int32_t>(out.size());
-    out.emplace_back();
-    std::queue<VertexId> queue;
-    queue.push(start);
-    comp[start] = id;
-    while (!queue.empty()) {
-      VertexId v = queue.front();
-      queue.pop();
-      out[id].push_back(v);
-      for (EdgeId e : g.OutEdges(v)) {
-        VertexId w = g.edge(e).dst;
-        if (comp[w] < 0) {
-          comp[w] = id;
-          queue.push(w);
-        }
+    if ((*comp)[start] != kNoComponent) continue;
+    auto visit = [&](VertexId w) {
+      if ((*comp)[w] == kNoComponent) {
+        (*comp)[w] = count;
+        stack.push_back(w);
       }
-      for (EdgeId e : g.InEdges(v)) {
-        VertexId w = g.edge(e).src;
-        if (comp[w] < 0) {
-          comp[w] = id;
-          queue.push(w);
-        }
-      }
+    };
+    visit(start);
+    while (!stack.empty()) {
+      VertexId v = stack.back();
+      stack.pop_back();
+      for (EdgeId e : g.OutEdges(v)) visit(g.edge(e).dst);
+      for (EdgeId e : g.InEdges(v)) visit(g.edge(e).src);
     }
-    std::sort(out[id].begin(), out[id].end());
+    ++count;
   }
+  return count;
+}
+
+/// The per-component counts that decide every class (classify.h).
+struct ComponentShape {
+  size_t vertices = 0;
+  size_t edges = 0;  ///< Σ out-degree
+  size_t max_in = 0;
+  size_t max_out = 0;
+  size_t max_degree = 0;  ///< undirected
+};
+
+}  // namespace
+
+std::vector<std::vector<VertexId>> ConnectedComponents(const DiGraph& g) {
+  std::vector<uint32_t> comp;
+  std::vector<std::vector<VertexId>> out(LabelComponents(g, &comp));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) out[comp[v]].push_back(v);
   return out;
 }
 
 bool IsConnected(const DiGraph& g) {
-  return ConnectedComponents(g).size() <= 1;
+  std::vector<uint32_t> comp;
+  return LabelComponents(g, &comp) <= 1;
 }
 
-namespace {
-
-/// True iff g contains a self-loop or an anti-parallel pair (u,v),(v,u).
-/// No graph in any path/tree class may contain either.
-bool HasLoopOrAntiParallel(const DiGraph& g) {
-  for (const Edge& e : g.edges()) {
-    if (e.src == e.dst) return true;
-    if (e.src < e.dst && g.FindEdge(e.dst, e.src).has_value()) return true;
-    if (e.src > e.dst && g.FindEdge(e.dst, e.src).has_value()) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool IsOneWayPath(const DiGraph& g) {
-  if (g.num_vertices() == 0) return false;  // graphs have non-empty V
-  if (g.num_edges() != g.num_vertices() - 1) return false;
-  VertexId start = g.num_vertices();
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.OutDegree(v) > 1 || g.InDegree(v) > 1) return false;
-    if (g.InDegree(v) == 0) {
-      if (start != g.num_vertices()) return false;  // two starts
-      start = v;
-    }
-  }
-  if (start == g.num_vertices()) return false;  // cycle
-  // Walk the unique chain; must cover all vertices.
-  size_t visited = 1;
-  VertexId v = start;
-  while (g.OutDegree(v) == 1) {
-    v = g.edge(g.OutEdges(v)[0]).dst;
-    ++visited;
-    if (visited > g.num_vertices()) return false;  // defensive (cycle)
-  }
-  return visited == g.num_vertices();
-}
-
-bool IsTwoWayPath(const DiGraph& g) {
-  if (g.num_vertices() == 0) return false;
-  if (g.num_edges() != g.num_vertices() - 1) return false;
-  if (HasLoopOrAntiParallel(g)) return false;
-  if (!IsConnected(g)) return false;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.UndirectedDegree(v) > 2) return false;
-  }
-  return true;
-}
-
-bool IsDownwardTree(const DiGraph& g) {
-  if (g.num_vertices() == 0) return false;
-  if (g.num_edges() != g.num_vertices() - 1) return false;
-  if (!IsConnected(g)) return false;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.InDegree(v) > 1) return false;
-  }
-  // Connected with n-1 edges and in-degrees <= 1: exactly one root, no
-  // cycles, no anti-parallel pairs (those would force a multi-edge in the
-  // underlying graph, contradicting connectivity with n-1 edges).
-  return true;
-}
-
-bool IsPolytree(const DiGraph& g) {
-  if (g.num_vertices() == 0) return false;
-  if (g.num_edges() != g.num_vertices() - 1) return false;
-  return IsConnected(g);
-}
+bool IsOneWayPath(const DiGraph& g) { return Classify(g).is_1wp; }
+bool IsTwoWayPath(const DiGraph& g) { return Classify(g).is_2wp; }
+bool IsDownwardTree(const DiGraph& g) { return Classify(g).is_dwt; }
+bool IsPolytree(const DiGraph& g) { return Classify(g).is_pt; }
 
 Classification Classify(const DiGraph& g) {
-  Classification out;
-  std::vector<std::vector<VertexId>> comps = ConnectedComponents(g);
-  out.num_components = comps.size();
-  out.connected = comps.size() <= 1;
-
-  if (out.connected) {
-    out.is_1wp = IsOneWayPath(g);
-    out.is_2wp = IsTwoWayPath(g);
-    out.is_dwt = IsDownwardTree(g);
-    out.is_pt = IsPolytree(g);
-    out.all_1wp = out.is_1wp;
-    out.all_2wp = out.is_2wp;
-    out.all_dwt = out.is_dwt;
-    out.all_pt = out.is_pt;
-  } else {
-    out.all_1wp = out.all_2wp = out.all_dwt = out.all_pt = true;
-    // Classify each component via an extracted subgraph.
-    std::vector<uint32_t> local(g.num_vertices(), 0);
-    for (const std::vector<VertexId>& vs : comps) {
-      for (uint32_t i = 0; i < vs.size(); ++i) local[vs[i]] = i;
-    }
-    std::vector<DiGraph> sub;
-    sub.reserve(comps.size());
-    for (const std::vector<VertexId>& vs : comps) sub.emplace_back(vs.size());
-    std::vector<uint32_t> comp_of(g.num_vertices(), 0);
-    for (uint32_t c = 0; c < comps.size(); ++c) {
-      for (VertexId v : comps[c]) comp_of[v] = c;
-    }
-    for (const Edge& e : g.edges()) {
-      AddEdgeOrDie(&sub[comp_of[e.src]], local[e.src], local[e.dst], e.label);
-    }
-    for (const DiGraph& s : sub) {
-      out.all_1wp = out.all_1wp && IsOneWayPath(s);
-      out.all_2wp = out.all_2wp && IsTwoWayPath(s);
-      out.all_dwt = out.all_dwt && IsDownwardTree(s);
-      out.all_pt = out.all_pt && IsPolytree(s);
-    }
+  std::vector<uint32_t> comp;
+  std::vector<ComponentShape> shapes(LabelComponents(g, &comp));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ComponentShape& s = shapes[comp[v]];
+    ++s.vertices;
+    s.edges += g.OutDegree(v);
+    s.max_in = std::max(s.max_in, g.InDegree(v));
+    s.max_out = std::max(s.max_out, g.OutDegree(v));
+    s.max_degree = std::max(s.max_degree, g.UndirectedDegree(v));
   }
+  std::vector<Classification> parts(shapes.size());
+  for (size_t c = 0; c < shapes.size(); ++c) {
+    const ComponentShape& s = shapes[c];
+    // Connected with |E| = |V| - 1: the underlying multigraph is a tree.
+    parts[c].is_pt = s.edges + 1 == s.vertices;
+    parts[c].is_dwt = parts[c].is_pt && s.max_in <= 1;
+    parts[c].is_2wp = parts[c].is_pt && s.max_degree <= 2;
+    parts[c].is_1wp = parts[c].is_dwt && s.max_out <= 1;
+  }
+  return ClassifyUnion(parts);
+}
 
+Classification ClassifyUnion(const std::vector<Classification>& parts) {
+  Classification out;
+  out.num_components = parts.size();
+  out.connected = parts.size() <= 1;
+  out.all_1wp = out.all_2wp = out.all_dwt = out.all_pt = !parts.empty();
+  for (const Classification& p : parts) {
+    out.all_1wp = out.all_1wp && p.is_1wp;
+    out.all_2wp = out.all_2wp && p.is_2wp;
+    out.all_dwt = out.all_dwt && p.is_dwt;
+    out.all_pt = out.all_pt && p.is_pt;
+  }
+  out.is_1wp = out.connected && out.all_1wp;
+  out.is_2wp = out.connected && out.all_2wp;
+  out.is_dwt = out.connected && out.all_dwt;
+  out.is_pt = out.connected && out.all_pt;
   if (out.is_1wp) {
     out.finest = GraphClass::kOneWayPath;
   } else if (out.is_2wp) {
@@ -186,8 +137,6 @@ Classification Classify(const DiGraph& g) {
     out.finest = GraphClass::kPolytree;
   } else if (out.connected) {
     out.finest = GraphClass::kConnected;
-  } else {
-    out.finest = GraphClass::kGeneral;
   }
   return out;
 }

@@ -18,6 +18,19 @@
 ///  * paths have pairwise-distinct vertices, so self-loops and anti-parallel
 ///    edge pairs disqualify a graph from every tree-like class;
 ///  * polytree = the underlying undirected graph is a tree.
+///
+/// Why one pass decides every class. In a connected graph, |E| = |V| − 1
+/// makes the underlying undirected multigraph a tree, and a tree has no
+/// self-loop and no anti-parallel pair (each would close a cycle). So on a
+/// connected component, with `in`, `out` and `deg` its maximum in-, out- and
+/// undirected degree:
+///
+///   PT  ⇔ |E| = |V| − 1        DWT ⇔ PT ∧ in ≤ 1
+///   2WP ⇔ PT ∧ deg ≤ 2         1WP ⇔ PT ∧ in ≤ 1 ∧ out ≤ 1
+///
+/// Classify therefore labels the components once and reads every flag off
+/// per-component counts (|E| = Σ out-degree); the Is* recognizers are reads
+/// of the same facts. No subgraph is built.
 
 namespace phom {
 
@@ -73,9 +86,17 @@ struct Classification {
   GraphClass finest = GraphClass::kGeneral;
 
   std::string ToString() const;
+  bool operator==(const Classification&) const = default;
 };
 
+/// One connectivity pass plus one degree scan (see the file comment).
 Classification Classify(const DiGraph& g);
+
+/// The classification of the disjoint union, in this order, of connected
+/// non-empty graphs whose own class flags are parts[i].is_* (only those are
+/// read). Classify(g) is ClassifyUnion over g's components; so is the
+/// classification of an instance assembled from its component split.
+Classification ClassifyUnion(const std::vector<Classification>& parts);
 
 /// For a 2WP, the vertex order a_1 − a_2 − ... − a_m along the path
 /// (an arbitrary one of the two orientations). PHOM_CHECKs IsTwoWayPath.

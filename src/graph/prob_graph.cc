@@ -1,8 +1,11 @@
 #include "src/graph/prob_graph.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 
-#include "src/graph/classify.h"
+#include "src/util/fnv.h"
 
 namespace phom {
 
@@ -62,36 +65,22 @@ ProbGraph ProbGraph::RestrictToLabels(
 
 namespace {
 
-/// FNV-1a over raw bytes.
-inline uint64_t HashBytes(uint64_t h, const void* data, size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-inline uint64_t HashU64(uint64_t h, uint64_t v) {
-  return HashBytes(h, &v, sizeof(v));
-}
-
-inline uint64_t HashString(uint64_t h, const std::string& s) {
-  h = HashU64(h, s.size());
-  return HashBytes(h, s.data(), s.size());
+uint64_t HashString(uint64_t h, const std::string& s) {
+  h = FnvHashU64(h, s.size());
+  return FnvHashBytes(h, s.data(), s.size());
 }
 
 }  // namespace
 
 uint64_t ProbGraph::Fingerprint() const {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  h = HashU64(h, num_vertices());
-  h = HashU64(h, num_edges());
+  uint64_t h = kFnvOffsetBasis;
+  h = FnvHashU64(h, num_vertices());
+  h = FnvHashU64(h, num_edges());
   for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
     const Edge& edge = graph_.edge(e);
-    h = HashU64(h, edge.src);
-    h = HashU64(h, edge.dst);
-    h = HashU64(h, edge.label);
+    h = FnvHashU64(h, edge.src);
+    h = FnvHashU64(h, edge.dst);
+    h = FnvHashU64(h, edge.label);
     // Rationals are normalized (gcd-reduced, positive denominator), so the
     // decimal num/den rendering is a canonical form of the exact value.
     h = HashString(h, probs_[e].num().ToString());
@@ -109,31 +98,60 @@ EdgeId AddEdgeOrDie(ProbGraph* g, VertexId src, VertexId dst, LabelId label,
 
 namespace {
 
-std::vector<ComponentView> SplitComponentsImpl(const DiGraph& g,
-                                               const std::vector<Rational>* probs) {
-  std::vector<std::vector<VertexId>> comps = ConnectedComponents(g);
-  std::vector<uint32_t> comp_of(g.num_vertices(), 0);
-  std::vector<uint32_t> local_id(g.num_vertices(), 0);
-  for (uint32_t c = 0; c < comps.size(); ++c) {
-    for (uint32_t i = 0; i < comps[c].size(); ++i) {
-      comp_of[comps[c][i]] = c;
-      local_id[comps[c][i]] = i;
+/// Splits the subgraph of `pg` made of the edges whose label is in `labels`
+/// (all edges when null; all vertices kept) into components, numbering the
+/// kept edges in order as the restricted graph would.
+std::vector<ComponentView> SplitComponentsImpl(
+    const ProbGraph& pg, const std::vector<LabelId>* labels) {
+  const DiGraph& g = pg.graph();
+  const size_t n = g.num_vertices();
+  std::vector<EdgeId> kept;
+  kept.reserve(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (labels == nullptr || std::binary_search(labels->begin(), labels->end(),
+                                                g.edge(e).label)) {
+      kept.push_back(e);
     }
   }
-  std::vector<ComponentView> views;
-  views.reserve(comps.size());
-  for (const std::vector<VertexId>& vs : comps) {
-    ComponentView view;
-    view.graph = ProbGraph(vs.size());
-    view.vertex_map = vs;
-    views.push_back(std::move(view));
+
+  // Union-find over the kept edges (path halving).
+  std::vector<VertexId> parent(n);
+  for (VertexId v = 0; v < n; ++v) parent[v] = v;
+  auto find = [&parent](VertexId v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (EdgeId e : kept) {
+    VertexId a = find(g.edge(e).src);
+    VertexId b = find(g.edge(e).dst);
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
   }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const Edge& edge = g.edge(e);
+
+  // Components numbered by smallest vertex, vertices ascending within each.
+  constexpr uint32_t kNone = UINT32_MAX;
+  std::vector<uint32_t> comp_of(n, kNone);
+  std::vector<uint32_t> local_id(n, 0);
+  std::vector<ComponentView> views;
+  for (VertexId v = 0; v < n; ++v) {
+    VertexId root = find(v);
+    if (comp_of[root] == kNone) {
+      comp_of[root] = static_cast<uint32_t>(views.size());
+      views.emplace_back();
+    }
+    comp_of[v] = comp_of[root];
+    std::vector<VertexId>& members = views[comp_of[v]].vertex_map;
+    local_id[v] = static_cast<uint32_t>(members.size());
+    members.push_back(v);
+  }
+  for (ComponentView& view : views) {
+    view.graph = ProbGraph(view.vertex_map.size());
+  }
+  for (EdgeId r = 0; r < kept.size(); ++r) {
+    const Edge& edge = g.edge(kept[r]);
     ComponentView& view = views[comp_of[edge.src]];
     AddEdgeOrDie(&view.graph, local_id[edge.src], local_id[edge.dst],
-                 edge.label, probs ? (*probs)[e] : Rational::One());
-    view.edge_map.push_back(e);
+                 edge.label, pg.prob(kept[r]));
+    view.edge_map.push_back(r);
   }
   return views;
 }
@@ -141,11 +159,36 @@ std::vector<ComponentView> SplitComponentsImpl(const DiGraph& g,
 }  // namespace
 
 std::vector<ComponentView> SplitComponents(const ProbGraph& g) {
-  return SplitComponentsImpl(g.graph(), &g.probs());
+  return SplitComponentsImpl(g, nullptr);
 }
 
-std::vector<ComponentView> SplitComponents(const DiGraph& g) {
-  return SplitComponentsImpl(g, nullptr);
+std::vector<ComponentView> SplitComponents(const ProbGraph& g,
+                                           const std::vector<LabelId>& labels) {
+  return SplitComponentsImpl(g, &labels);
+}
+
+ProbGraph MergeComponents(const std::vector<ComponentView>& views) {
+  size_t num_vertices = 0;
+  size_t num_edges = 0;
+  for (const ComponentView& view : views) {
+    num_vertices += view.vertex_map.size();
+    num_edges += view.edge_map.size();
+  }
+  // (view, component edge) of every original edge.
+  std::vector<std::pair<uint32_t, EdgeId>> source(num_edges);
+  for (uint32_t c = 0; c < views.size(); ++c) {
+    for (EdgeId k = 0; k < views[c].edge_map.size(); ++k) {
+      source[views[c].edge_map[k]] = {c, k};
+    }
+  }
+  ProbGraph out(num_vertices);
+  for (const auto& [c, k] : source) {
+    const ComponentView& view = views[c];
+    const Edge& edge = view.graph.graph().edge(k);
+    AddEdgeOrDie(&out, view.vertex_map[edge.src], view.vertex_map[edge.dst],
+                 edge.label, view.graph.prob(k));
+  }
+  return out;
 }
 
 }  // namespace phom

@@ -76,7 +76,16 @@ struct ComponentView {
 /// Isolated vertices form singleton components.
 std::vector<ComponentView> SplitComponents(const ProbGraph& g);
 
-/// Same, for a plain graph (probabilities all 1 in the views).
-std::vector<ComponentView> SplitComponents(const DiGraph& g);
+/// Equal, view for view, to SplitComponents(g.RestrictToLabels(labels))
+/// (`labels` sorted) — edge_map indexes the restricted graph's edges — but
+/// splits `g` directly under the label filter, without building the
+/// restricted graph.
+std::vector<ComponentView> SplitComponents(const ProbGraph& g,
+                                           const std::vector<LabelId>& labels);
+
+/// The inverse of SplitComponents: reassembles the graph the views were
+/// split from (vertex_map and edge_map must partition its vertices and
+/// edges), edge for edge.
+ProbGraph MergeComponents(const std::vector<ComponentView>& views);
 
 }  // namespace phom

@@ -3,21 +3,9 @@
 #include <algorithm>
 
 #include "src/hom/backtrack.h"
+#include "src/util/fnv.h"
 
 namespace phom {
-
-namespace {
-
-uint64_t HashU64(uint64_t h, uint64_t v) {
-  // FNV-1a over the value's bytes.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::vector<LabelId> Ucq::UsedLabels() const {
   std::vector<LabelId> out;
@@ -99,11 +87,11 @@ Ucq NormalizeUcq(const Ucq& ucq) {
 }
 
 uint64_t UcqFingerprint(const Ucq& ucq) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  h = HashU64(h, ucq.disjuncts.size());
+  uint64_t h = kFnvOffsetBasis;
+  h = FnvHashU64(h, ucq.disjuncts.size());
   for (const DiGraph& d : ucq.disjuncts) {
-    for (uint64_t v : CanonicalDisjunctKey(d)) h = HashU64(h, v);
-    h = HashU64(h, 0x9e3779b97f4a7c15ULL);  // disjunct separator
+    for (uint64_t v : CanonicalDisjunctKey(d)) h = FnvHashU64(h, v);
+    h = FnvHashU64(h, 0x9e3779b97f4a7c15ULL);  // disjunct separator
   }
   return h;
 }

@@ -101,7 +101,9 @@ CostPrediction CostModelSnapshot::PredictSolveCost(
       for (const lifted::LiftedUnit& unit : prepared.ucq->plan.units) {
         out += PredictComponent(
             engine, unit.prepared.analysis.instance_class.finest,
-            unit.prepared.instance().NumUncertainEdges());
+            unit.prepared.context == nullptr
+                ? 0
+                : unit.prepared.context->NumUncertainEdges());
       }
       return out;
     }
@@ -123,7 +125,7 @@ CostPrediction CostModelSnapshot::PredictSolveCost(
   if (!engine.ok() || *engine == nullptr) return out;
   return PredictComponent((*engine)->name(),
                           prepared.analysis.instance_class.finest,
-                          prepared.instance().NumUncertainEdges());
+                          prepared.context->NumUncertainEdges());
 }
 
 CostModel::CostModel(CostModelOptions options) : options_(options) {}
@@ -167,7 +169,7 @@ void CostModel::RecordSolve(const PreparedProblem& prepared,
   }
   RecordComponent(result.stats.engine,
                   prepared.analysis.instance_class.finest,
-                  prepared.instance().NumUncertainEdges(),
+                  prepared.context->NumUncertainEdges(),
                   result.stats.duration);
 }
 
@@ -185,7 +187,7 @@ void CostModel::RecordComponentSolve(const PreparedProblem& prepared,
     if (unit.context == nullptr) return;  // immediate unit: nothing ran
     RecordComponent(plan.engine->name(),
                     unit.analysis.instance_class.finest,
-                    unit.instance().NumUncertainEdges(),
+                    unit.context->NumUncertainEdges(),
                     result.stats.duration);
     return;
   }

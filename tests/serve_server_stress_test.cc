@@ -318,7 +318,7 @@ TEST(ContextLru, FingerprintCollisionsAreNotServedStaleContexts) {
   auto ctx_b = cache.GetOrBuild(b, 42, {0}, &hit);
   EXPECT_FALSE(hit) << "colliding key with different dims must rebuild";
   EXPECT_NE(ctx_a.get(), ctx_b.get());
-  EXPECT_EQ(ctx_b->instance.num_vertices(), b.num_vertices());
+  EXPECT_EQ(ctx_b->instance().num_vertices(), b.num_vertices());
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.size(), 1u) << "the stale entry is replaced, not kept";
   // The replacement is now the resident entry.

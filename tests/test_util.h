@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
 #include <string_view>
@@ -93,6 +95,49 @@ inline std::vector<DiGraph> MixedServeQueries(Rng* rng) {
       DisjointUnion({MakeLabeledPath({0}), MakeLabeledPath({1})}));  // hard
   queries.push_back(MakeOneWayPath(2));  // single label: unlabeled collapse
   return queries;
+}
+
+/// A random digraph on 0..max_vertices vertices, labels below num_labels,
+/// made of 1-4 blocks. Each block is a random tree (often a path; oriented
+/// downward or at random) plus, sometimes, extra edges that include
+/// self-loops and anti-parallel pairs; vertex ids are shuffled so blocks
+/// interleave. Blocks of one vertex are isolated vertices.
+inline DiGraph RandomBlockDigraph(Rng* rng, int64_t max_vertices,
+                                  LabelId num_labels) {
+  const size_t n = static_cast<size_t>(rng->UniformInt(0, max_vertices));
+  std::vector<VertexId> perm(n);
+  std::iota(perm.begin(), perm.end(), 0);
+  std::shuffle(perm.begin(), perm.end(), rng->engine());
+  DiGraph g(n);
+  auto add = [&](int64_t a, int64_t b) {
+    // Duplicates on an ordered pair are rejected; loops and anti-parallel
+    // pairs are not.
+    (void)g.AddEdge(perm[a], perm[b],
+                    static_cast<LabelId>(rng->UniformInt(0, num_labels - 1)));
+  };
+  const int64_t size = static_cast<int64_t>(n);
+  const int64_t blocks =
+      n == 0 ? 0 : rng->UniformInt(1, std::min<int64_t>(4, size));
+  int64_t first = 0;
+  for (int64_t b = 0; b < blocks; ++b) {
+    const int64_t last = b + 1 == blocks
+                             ? size
+                             : rng->UniformInt(first + 1, size - blocks + b + 1);
+    const bool path = rng->Bernoulli(0.5);
+    const bool downward = rng->Bernoulli(0.3);
+    for (int64_t v = first + 1; v < last; ++v) {
+      const int64_t parent = path ? v - 1 : rng->UniformInt(first, v - 1);
+      (downward || rng->Bernoulli(0.5)) ? add(parent, v) : add(v, parent);
+    }
+    if (rng->Bernoulli(0.4)) {
+      for (int64_t k = rng->UniformInt(1, 3); k > 0; --k) {
+        const int64_t a = rng->UniformInt(first, last - 1);
+        add(a, rng->UniformInt(first, last - 1));
+      }
+    }
+    first = last;
+  }
+  return g;
 }
 
 /// Figure 7/8's PP2DNF formula X1Y2 ∨ X1Y1 ∨ X2Y2 (0-based pairs); it has
