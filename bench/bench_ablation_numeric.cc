@@ -92,6 +92,24 @@ void BM_NumericDwtExact(benchmark::State& state) {
 BENCHMARK(BM_NumericDwtExact)->RangeMultiplier(2)->Range(64, 1024)
     ->Unit(benchmark::kMillisecond)->Complexity();
 
+// BM_NumericDwtExact's instances and queries with every probability
+// redrawn as k/10: no dyadic shortcut in the final gcd.
+void BM_NumericDwtExactNonDyadic(benchmark::State& state) {
+  Rng rng(92);  // same seed: identical shapes and queries
+  ProbGraph dyadic = AttachRandomProbabilities(
+      &rng, ProperShape(Shape::kDwt, state.range(0), 2, &rng), 4);
+  DiGraph q = RandomOneWayPath(&rng, 4, 2);
+  Rng tenths(93);
+  std::vector<Rational> probs;
+  for (size_t e = 0; e < dyadic.num_edges(); ++e) {
+    probs.push_back(Rational(tenths.UniformInt(0, 10), 10));
+  }
+  ProbGraph h(dyadic.graph(), std::move(probs));
+  RunNumeric(state, q, h, WithBackend(NumericBackend::kExact, "path-on-dwt"));
+}
+BENCHMARK(BM_NumericDwtExactNonDyadic)->RangeMultiplier(2)->Range(64, 1024)
+    ->Unit(benchmark::kMillisecond)->UseRealTime()->Complexity();
+
 void BM_NumericDwtDouble(benchmark::State& state) {
   Rng rng(92);  // same seed: identical inputs
   ProbGraph h = AttachRandomProbabilities(

@@ -3,23 +3,15 @@
 #include <algorithm>
 #include <queue>
 
+#include "src/core/downward_forest.h"
 #include "src/graph/classify.h"
 #include "src/graph/graded.h"
 #include "src/lineage/dnf_prob.h"
 
 namespace phom {
 
-namespace {
-
-/// Forest structure: BFS order (parents before children), parent edge ids.
-struct Forest {
-  std::vector<VertexId> bfs_order;
-  std::vector<int64_t> parent;       // -1 for roots
-  std::vector<EdgeId> parent_edge;   // valid when parent >= 0
-};
-
-Result<Forest> BuildForest(const DiGraph& g) {
-  Forest f;
+Result<DownwardForest> BuildDownwardForest(const DiGraph& g) {
+  DownwardForest f;
   size_t n = g.num_vertices();
   f.parent.assign(n, -1);
   f.parent_edge.assign(n, 0);
@@ -53,6 +45,8 @@ Result<Forest> BuildForest(const DiGraph& g) {
   return f;
 }
 
+namespace {
+
 /// KMP failure function of the query label word.
 std::vector<uint32_t> KmpFailure(const std::vector<LabelId>& pattern) {
   std::vector<uint32_t> fail(pattern.size(), 0);
@@ -68,7 +62,7 @@ std::vector<uint32_t> KmpFailure(const std::vector<LabelId>& pattern) {
 /// match[v] = true iff the m rootward edges ending at v carry exactly the
 /// query labels (KMP streamed down the forest).
 std::vector<bool> MatchEnds(const std::vector<LabelId>& pattern,
-                            const DiGraph& g, const Forest& forest,
+                            const DiGraph& g, const DownwardForest& forest,
                             size_t* match_count) {
   uint32_t m = static_cast<uint32_t>(pattern.size());
   std::vector<uint32_t> fail = KmpFailure(pattern);
@@ -93,16 +87,61 @@ std::vector<bool> MatchEnds(const std::vector<LabelId>& pattern,
   return match;
 }
 
+/// Cell arithmetic of the Prop. 4.10 DP. Each spine edge e enters once,
+/// as a (present, absent) weight pair. Approximate backends weigh with
+/// (p, 1-p) and keep f itself.
+template <class Num>
+class DwtCells {
+ public:
+  using Cell = Num;
+  explicit DwtCells(const std::vector<Rational>& probs) : probs_(probs) {}
+  const Cell& Present(EdgeId e) const { return probs_[e]; }
+  /// Called once per spine edge.
+  Cell Absent(EdgeId e) { return NumericOps<Num>::Complement(probs_[e]); }
+  /// Pr(match) from the product of the roots' f[r][0].
+  Num Finish(const Cell& no_match) const {
+    return NumericOps<Num>::Complement(no_match);
+  }
+
+ private:
+  BackendProbs<Num> probs_;
+};
+
+/// Exact backend, fraction-free: with p_e = a_e/b_e in canonical form the
+/// cells are the integers F[v][s] = W_v·f[v][s], W_v the product of b_e over
+/// the spine edges below v, and the weights are (a_e, b_e - a_e). W is the
+/// product over every spine edge, so one gcd, in Finish, reduces the answer.
+template <>
+class DwtCells<Rational> {
+ public:
+  using Cell = BigInt;
+  explicit DwtCells(const std::vector<Rational>& probs) : probs_(probs) {}
+  const Cell& Present(EdgeId e) const { return probs_[e].num(); }
+  /// Called once per spine edge: also multiplies b_e into W.
+  Cell Absent(EdgeId e) {
+    const Rational& p = probs_[e];
+    scale_ *= p.den();
+    return p.den() - p.num();
+  }
+  Rational Finish(const Cell& no_match) const {
+    return Rational(scale_ - no_match, scale_);
+  }
+
+ private:
+  const std::vector<Rational>& probs_;
+  BigInt scale_{1};  // W
+};
+
 }  // namespace
 
 template <class Num>
 Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
                                   const ProbGraph& instance, DwtStats* stats) {
-  using Ops = NumericOps<Num>;
   if (query_labels.empty()) {
     return Status::Invalid("query must have at least one edge");
   }
-  PHOM_ASSIGN_OR_RETURN(Forest forest, BuildForest(instance.graph()));
+  PHOM_ASSIGN_OR_RETURN(DownwardForest forest,
+                        BuildDownwardForest(instance.graph()));
   const DiGraph& g = instance.graph();
   uint32_t m = static_cast<uint32_t>(query_labels.size());
   size_t match_count = 0;
@@ -110,10 +149,11 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
   if (stats != nullptr) stats->match_ends = match_count;
 
   // f[v][s] = Pr(no match fires in v's subtree | capped run of present
-  // edges ending at v is s). Children processed before parents. Subtrees
-  // without any match end contribute factor 1 for every s, so tables are
-  // only materialized on the "match spine" — the ancestors of match ends —
-  // which is what keeps the DP cheap when matches are sparse.
+  // edges ending at v is s), kept as a DwtCells cell. Children processed
+  // before parents. Subtrees without any match end contribute factor 1 for
+  // every s, so tables are only materialized on the "match spine" — the
+  // ancestors of match ends — which is what keeps the DP cheap when matches
+  // are sparse.
   size_t n = g.num_vertices();
   std::vector<bool> match_below(n, false);
   for (size_t idx = forest.bfs_order.size(); idx-- > 0;) {
@@ -125,9 +165,10 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
     match_below[v] = below;
   }
 
-  BackendProbs<Num> probs(instance.probs());
-  std::vector<std::vector<Num>> f(n);
-  std::vector<Num> absent;  // per spine child: (1-p)·f[c][0], s-invariant
+  using Cell = typename DwtCells<Num>::Cell;
+  DwtCells<Num> cells(instance.probs());
+  std::vector<std::vector<Cell>> f(n);
+  std::vector<Cell> absent;  // per spine child: absent weight · f[c][0]
   for (size_t idx = forest.bfs_order.size(); idx-- > 0;) {
     VertexId v = forest.bfs_order[idx];
     if (!match_below[v]) continue;  // f[v][s] == 1 for all s
@@ -135,21 +176,21 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
     for (EdgeId e : g.OutEdges(v)) {
       VertexId c = g.edge(e).dst;
       if (!match_below[c]) continue;  // contributes p·1 + (1-p)·1 = 1
-      absent.push_back(Ops::Complement(probs[e]) * f[c][0]);
+      absent.push_back(cells.Absent(e) * f[c][0]);
     }
-    f[v].assign(m + 1, Ops::One());
+    f[v].assign(m + 1, Cell(1));
     for (uint32_t s = 0; s <= m; ++s) {
       if (match[v] && s == m) {
-        f[v][s] = Ops::Zero();
+        f[v][s] = Cell(0);
         continue;
       }
-      Num value = Ops::One();
+      Cell value = Cell(1);
       size_t child = 0;
       for (EdgeId e : g.OutEdges(v)) {
         VertexId c = g.edge(e).dst;
         if (!match_below[c]) continue;
         uint32_t s_present = std::min(m, s + 1);
-        value *= probs[e] * f[c][s_present] + absent[child++];
+        value *= cells.Present(e) * f[c][s_present] + absent[child++];
       }
       f[v][s] = std::move(value);
     }
@@ -160,11 +201,11 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
     }
   }
 
-  Num no_match = Ops::One();
+  Cell no_match = Cell(1);
   for (VertexId v = 0; v < n; ++v) {
     if (forest.parent[v] < 0 && match_below[v]) no_match *= f[v][0];
   }
-  return Ops::Complement(no_match);
+  return cells.Finish(no_match);
 }
 
 template <class Num>
@@ -174,7 +215,8 @@ Result<Num> SolvePathOnDwtForestViaLineageT(
   if (query_labels.empty()) {
     return Status::Invalid("query must have at least one edge");
   }
-  PHOM_ASSIGN_OR_RETURN(Forest forest, BuildForest(instance.graph()));
+  PHOM_ASSIGN_OR_RETURN(DownwardForest forest,
+                        BuildDownwardForest(instance.graph()));
   const DiGraph& g = instance.graph();
   uint32_t m = static_cast<uint32_t>(query_labels.size());
   size_t match_count = 0;

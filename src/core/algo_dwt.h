@@ -24,6 +24,20 @@
 ///    elimination, and evaluate it with the memoized Shannon engine.
 /// Both are exposed; tests check they agree. All entry points are templated
 /// on the numeric backend (exact Rational or double, util/numeric.h).
+///
+/// The direct DP runs fraction-free on the exact backend. Each spine edge
+/// (one with a match end below it) contributes exactly one factor, p_e or
+/// 1 - p_e, to every term of f[v][s]: the recurrence is multilinear in the
+/// edge probabilities. So with p_e = a_e/b_e in canonical form, the scaled
+/// cell F[v][s] = W_v·f[v][s], W_v the product of b_e over the spine edges
+/// below v, is an integer. It obeys
+///   F[v][s] = Π_children (a_e·F[c][min(m, s+1)] + (b_e - a_e)·F[c][0]),
+///   F[v][m] = 0 at a match end,
+/// so the cells are BigInts built with multiply and add only. The answer
+/// is 1 - N/W, with N the product of the roots' F[r][0] and W that of every
+/// spine edge's b_e, reduced by a single gcd (a shift on dyadic inputs).
+/// The double and interval backends run the same loop with (p, 1 - p)
+/// weights.
 
 namespace phom {
 

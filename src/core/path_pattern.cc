@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <unordered_map>
+
+#include "src/core/downward_forest.h"
 
 namespace phom {
 
@@ -18,6 +19,9 @@ std::string PathPattern::ToString() const {
 
 namespace {
 
+/// Subset states are uint64_t bitmasks over positions 0..m.
+constexpr size_t kMaxPatternSteps = 63;
+
 /// NFA over pattern positions 0..m: position i means "steps 1..i matched".
 /// Reading a present edge with label l from position i:
 ///   * advance to i+1 when steps[i].label == l;
@@ -29,7 +33,7 @@ class SuffixRunDfa {
  public:
   SuffixRunDfa(const PathPattern& pattern, size_t max_states)
       : pattern_(pattern), max_states_(max_states) {
-    PHOM_CHECK_MSG(pattern.steps.size() <= 63,
+    PHOM_CHECK_MSG(pattern.steps.size() <= kMaxPatternSteps,
                    "patterns limited to 63 steps");
     empty_state_ = Intern(0);  // the reset state (no active run)
   }
@@ -88,44 +92,6 @@ class SuffixRunDfa {
   std::map<std::pair<uint32_t, LabelId>, uint32_t> transitions_;
 };
 
-struct Forest {
-  std::vector<VertexId> bfs_order;
-  std::vector<int64_t> parent;
-};
-
-Result<Forest> BuildDownwardForest(const DiGraph& g) {
-  Forest f;
-  size_t n = g.num_vertices();
-  f.parent.assign(n, -1);
-  f.bfs_order.reserve(n);
-  std::vector<bool> seen(n, false);
-  std::queue<VertexId> queue;
-  for (VertexId v = 0; v < n; ++v) {
-    if (g.InDegree(v) == 0) {
-      queue.push(v);
-      seen[v] = true;
-    }
-  }
-  while (!queue.empty()) {
-    VertexId v = queue.front();
-    queue.pop();
-    f.bfs_order.push_back(v);
-    for (EdgeId e : g.OutEdges(v)) {
-      VertexId w = g.edge(e).dst;
-      if (seen[w] || g.InDegree(w) != 1) {
-        return Status::Invalid("instance is not a downward forest");
-      }
-      seen[w] = true;
-      f.parent[w] = v;
-      queue.push(w);
-    }
-  }
-  if (f.bfs_order.size() != n) {
-    return Status::Invalid("instance is not a downward forest (cycle)");
-  }
-  return f;
-}
-
 }  // namespace
 
 Result<Rational> SolvePathPatternOnDwtForest(const PathPattern& pattern,
@@ -133,8 +99,11 @@ Result<Rational> SolvePathPatternOnDwtForest(const PathPattern& pattern,
                                              const PathPatternOptions& options,
                                              PathPatternStats* stats) {
   if (pattern.steps.empty()) return Rational::One();
+  if (pattern.steps.size() > kMaxPatternSteps) {
+    return Status::Invalid("path patterns are limited to 63 steps");
+  }
   const DiGraph& g = instance.graph();
-  PHOM_ASSIGN_OR_RETURN(Forest forest, BuildDownwardForest(g));
+  PHOM_ASSIGN_OR_RETURN(DownwardForest forest, BuildDownwardForest(g));
   SuffixRunDfa dfa(pattern, options.max_dfa_states);
 
   // Top-down: reachable DFA states per vertex (the reset state is always

@@ -37,6 +37,21 @@ TEST(PathPattern, EmptyPatternIsCertain) {
   EXPECT_EQ(*SolvePathPatternOnDwtForest(PathPattern{}, h), Rational::One());
 }
 
+TEST(PathPattern, RejectsOver63Steps) {
+  ProbGraph h(2);
+  AddEdgeOrDie(&h, 0, 1, 0, Rational::Half());
+  for (size_t steps : {64, 100}) {
+    PathPattern p;
+    p.steps.assign(steps, PatternStep{0, false});
+    Result<Rational> r = SolvePathPatternOnDwtForest(p, h);
+    ASSERT_FALSE(r.ok()) << steps;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument) << steps;
+  }
+  PathPattern longest;
+  longest.steps.assign(63, PatternStep{0, true});
+  EXPECT_EQ(*SolvePathPatternOnDwtForest(longest, h), Rational::Zero());
+}
+
 TEST(PathPattern, ChildAxesCoincideWithProp410) {
   Rng rng(601);
   for (int trial = 0; trial < 60; ++trial) {
