@@ -193,7 +193,7 @@ void BM_ServeDegradeHardCellBudget(benchmark::State& state) {
   int64_t total = 0;
   for (auto _ : state) {
     SolveRequest request = SolveRequest::BorrowQuery(query);
-    request.WithTimeout(budget).WithDegrade(CheapPolicy());
+    request.WithBudget(budget).WithDegrade(CheapPolicy());
     SolveTicket ticket = executor.Submit(session, std::move(request));
     Result<SolveResult> result = ticket.Take();
     benchmark::DoNotOptimize(result);

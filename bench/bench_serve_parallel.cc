@@ -29,7 +29,8 @@ using serve::BatchExecutor;
 using serve::ExecutorOptions;
 using serve::ShardedServer;
 using serve::ShardedServerOptions;
-using serve::ShardRequest;
+using serve::SolveRequest;
+using serve::SolveTicket;
 
 /// A serving corpus: one instance with several components (the within-query
 /// parallel units) and a small-query batch over two labels.
@@ -199,16 +200,23 @@ void BM_ServeShardedRequests(benchmark::State& state) {
   options.executor.threads = 4;
   ShardedServer server(std::move(instances), options);
 
-  std::vector<ShardRequest> requests;
-  for (size_t i = 0; i < corpus.queries.size(); ++i) {
-    requests.push_back({i % shards, &corpus.queries[i]});
-  }
-  server.SolveRequests(requests);  // warm the shared LRU
+  // One cross-shard batch: SubmitBatch + Collect over borrowed queries.
+  const auto solve_all = [&] {
+    std::vector<SolveRequest> requests;
+    requests.reserve(corpus.queries.size());
+    for (size_t i = 0; i < corpus.queries.size(); ++i) {
+      requests.push_back(
+          SolveRequest::BorrowQuery(corpus.queries[i], i % shards));
+    }
+    std::vector<SolveTicket> tickets = server.SubmitBatch(std::move(requests));
+    return server.Collect(tickets);
+  };
+  solve_all();  // warm the shared LRU
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.SolveRequests(requests));
+    benchmark::DoNotOptimize(solve_all());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(requests.size()));
+                          static_cast<int64_t>(corpus.queries.size()));
 }
 BENCHMARK(BM_ServeShardedRequests)
     ->Arg(1)->Arg(2)->Arg(4)
@@ -228,11 +236,14 @@ void BM_ServeLruColdVsShared(benchmark::State& state) {
     options.solve = ServingOptions();
     options.executor.threads = 2;
     ShardedServer server(std::move(instances), options);
-    std::vector<ShardRequest> requests;
+    std::vector<SolveRequest> requests;
     for (size_t s = 0; s < shards; ++s) {
-      for (const DiGraph& q : corpus.queries) requests.push_back({s, &q});
+      for (const DiGraph& q : corpus.queries) {
+        requests.push_back(SolveRequest::BorrowQuery(q, s));
+      }
     }
-    benchmark::DoNotOptimize(server.SolveRequests(requests));
+    std::vector<SolveTicket> tickets = server.SubmitBatch(std::move(requests));
+    benchmark::DoNotOptimize(server.Collect(tickets));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(shards));
 }

@@ -135,6 +135,25 @@ Result<const Engine*> SelectEngineForProblem(const EngineRegistry& registry,
                                              const SolveOptions& options,
                                              bool* forced);
 
+/// The Monte Carlo estimate of `prepared` as an engine answer: the one
+/// estimate-to-answer conversion behind the "monte-carlo" engine and the
+/// DegradePolicy path (SolveDegradedMonteCarlo, solver.h), which differ only
+/// in the `mc` they pass and in `degraded`. Samples the CQ — or a UCQ
+/// problem's whole union per world, never one disjunct — under `mc` with
+/// options.cancel threaded in, seed options.monte_carlo_seed, in backend
+/// options.numeric. A certified p == 0 (MonteCarloEstimate::exact_zero)
+/// answers the certified point 0. Otherwise the answer is the estimate,
+/// hits/samples as an exact Rational on the exact backend, the uncertified
+/// 95% bracket clamped into [0, 1], and relative_error_95 when
+/// mc.target_relative_error asks for it. DegradeInfo carries the lower bound
+/// and relative error always, and the full estimate provenance when the
+/// answer stands in for an exact one: `degraded`, or a lapsed deadline
+/// truncated the sampling. Adds the samples drawn to stats->worlds.
+Result<EngineAnswer> MonteCarloAnswer(const PreparedProblem& prepared,
+                                      const SolveOptions& options,
+                                      MonteCarloOptions mc, bool degraded,
+                                      SolveStats* stats);
+
 /// Registers the built-in engines, in auto-dispatch priority order:
 ///   connected-on-2wp, path-on-dwt, unlabeled-dwt-instance,
 ///   unlabeled-polytree, per-component, fallback,

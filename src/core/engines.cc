@@ -356,63 +356,67 @@ class MonteCarloEngine : public Engine {
   Result<EngineAnswer> Solve(const PreparedProblem& prepared,
                              const SolveOptions& options,
                              SolveStats* stats) const override {
-    // Thread the dispatch-level token into the per-sample yield points
-    // (monte_carlo.h); with the default min_samples = 0 an expired deadline
-    // aborts sampling like any other kernel.
-    const CancelToken::Clock::time_point start = CancelToken::Clock::now();
-    MonteCarloOptions mc = options.monte_carlo;
-    if (options.cancel != nullptr) mc.cancel = options.cancel;
-    // A UCQ problem samples the whole UNION per world (any-disjunct hit):
-    // sampling prepared.query alone would silently estimate disjunct 0.
-    Result<MonteCarloEstimate> est =
-        prepared.ucq != nullptr
-            ? EstimateUcqProbabilityMonteCarlo(
-                  prepared.ucq->normalized.disjuncts, prepared.instance(),
-                  options.monte_carlo_seed, mc)
-            : EstimateProbabilityMonteCarlo(prepared.query,
-                                            prepared.instance(),
-                                            options.monte_carlo_seed, mc);
-    if (!est.ok()) return est.status();
-    stats->worlds += est->samples;
-    EngineAnswer out;
-    out.backend = options.numeric;
-    out.approx = est->estimate;
-    if (est->exact_zero) {
-      // The lower-bound pre-pass PROVED p == 0 without sampling; this is an
-      // exact answer (certified point bound), not an estimate.
-      out.bound = ProbabilityBound{0.0, 0.0, /*certified=*/true};
-      return out;
-    }
-    if (options.numeric == NumericBackend::kExact) {
-      // hits/samples is exactly representable; still only an estimate.
-      out.exact = Rational(static_cast<int64_t>(est->hits),
-                           static_cast<int64_t>(est->samples));
-    }
-    // Statistical bracket: estimate ± half-width, clamped into [0, 1] —
-    // a 95% confidence statement, NOT a certificate.
-    out.bound =
-        ProbabilityBound{std::max(0.0, est->estimate - est->half_width_95),
-                         std::min(1.0, est->estimate + est->half_width_95),
-                         /*certified=*/false};
-    out.relative_error_95 =
-        mc.target_relative_error > 0.0 ? est->relative_error_95 : 0.0;
-    out.degrade.lower_bound = est->lower_bound;
-    out.degrade.relative_error_95 = out.relative_error_95;
-    if (est->deadline_truncated) {
-      // The caller got fewer samples than it budgeted for — surface the
-      // same provenance the DegradePolicy path reports, so a floor-sized
-      // estimate is never mistaken for the requested precision.
-      out.degrade.degraded = true;
-      out.degrade.estimate = est->estimate;
-      out.degrade.half_width_95 = est->half_width_95;
-      out.degrade.samples_used = est->samples;
-      out.degrade.budget_spent = CancelToken::Clock::now() - start;
-    }
-    return out;
+    // With the default min_samples = 0 an expired deadline aborts sampling
+    // like any other kernel.
+    return MonteCarloAnswer(prepared, options, options.monte_carlo,
+                            /*degraded=*/false, stats);
   }
 };
 
 }  // namespace
+
+Result<EngineAnswer> MonteCarloAnswer(const PreparedProblem& prepared,
+                                      const SolveOptions& options,
+                                      MonteCarloOptions mc, bool degraded,
+                                      SolveStats* stats) {
+  const CancelToken::Clock::time_point start = CancelToken::Clock::now();
+  // Thread the dispatch-level token into the per-sample yield points
+  // (monte_carlo.h).
+  if (options.cancel != nullptr) mc.cancel = options.cancel;
+  PHOM_ASSIGN_OR_RETURN(
+      MonteCarloEstimate est,
+      prepared.ucq != nullptr
+          ? EstimateUcqProbabilityMonteCarlo(
+                prepared.ucq->normalized.disjuncts, prepared.instance(),
+                options.monte_carlo_seed, mc)
+          : EstimateProbabilityMonteCarlo(prepared.query, prepared.instance(),
+                                          options.monte_carlo_seed, mc));
+  stats->worlds += est.samples;
+  EngineAnswer out;
+  out.backend = options.numeric;
+  out.approx = est.estimate;
+  if (est.exact_zero) {
+    // The lower-bound pre-pass PROVED p == 0 without sampling; this is an
+    // exact answer (certified point bound), not an estimate.
+    out.bound = ProbabilityBound{0.0, 0.0, /*certified=*/true};
+    return out;
+  }
+  if (options.numeric == NumericBackend::kExact) {
+    // hits/samples is exactly representable; still only an estimate.
+    out.exact = Rational(static_cast<int64_t>(est.hits),
+                         static_cast<int64_t>(est.samples));
+  }
+  // Statistical bracket: estimate ± half-width, clamped into [0, 1] — a 95%
+  // confidence statement, NOT a certificate.
+  out.bound = ProbabilityBound{std::max(0.0, est.estimate - est.half_width_95),
+                               std::min(1.0, est.estimate + est.half_width_95),
+                               /*certified=*/false};
+  out.relative_error_95 =
+      mc.target_relative_error > 0.0 ? est.relative_error_95 : 0.0;
+  out.degrade.lower_bound = est.lower_bound;
+  out.degrade.relative_error_95 = out.relative_error_95;
+  if (degraded || est.deadline_truncated) {
+    // A truncated run got fewer samples than it budgeted for: it carries the
+    // same provenance as a degraded one, so a floor-sized estimate is never
+    // mistaken for the requested precision.
+    out.degrade.degraded = true;
+    out.degrade.estimate = est.estimate;
+    out.degrade.half_width_95 = est.half_width_95;
+    out.degrade.samples_used = est.samples;
+    out.degrade.budget_spent = CancelToken::Clock::now() - start;
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // Within-query component parallelism (solver.h). Lives here because it reuses

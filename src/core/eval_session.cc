@@ -85,46 +85,34 @@ PreparedProblem EvalSession::PrepareUcq(const Ucq& ucq) {
       });
 }
 
-Result<SolveResult> EvalSession::SolvePreparedWithDegrade(
-    const PreparedProblem& prepared, const SolveOptions& options) {
+namespace {
+
+/// SolvePrepared, then the shared degrade path (solver.h).
+Result<SolveResult> SolveOrDegrade(const PreparedProblem& prepared,
+                                   const SolveOptions& options) {
   Result<SolveResult> result = SolvePrepared(prepared, options);
-  // The serial twin of the serve layer's degradation re-dispatch: a solve
-  // that hit its deadline (options.cancel) converts to a budgeted Monte
-  // Carlo estimate instead of an error, when the policy allows. Explicit
-  // cancellation and every other error pass through untouched, and with
-  // the policy off (the default) this is exactly the old behavior.
-  if (!result.ok() && ShouldDegradeStatus(result.status(), options.degrade)) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.degraded_solves;
-    }
-    return SolveDegradedMonteCarlo(prepared, options);
-  }
+  DegradeOnDeadlineMiss(prepared, options, &result);
   return result;
 }
 
-Result<SolveResult> EvalSession::SolveWithOptions(const DiGraph& query,
-                                                  const SolveOptions& options) {
-  return SolvePreparedWithDegrade(Prepare(query), options);
-}
+}  // namespace
 
 Result<SolveResult> EvalSession::Solve(const DiGraph& query) {
-  return SolveWithOptions(query, options_);
+  return SolveOrDegrade(Prepare(query), options_);
 }
 
 Result<SolveResult> EvalSession::Solve(const DiGraph& query,
                                        const SolveOverrides& overrides) {
-  return SolveWithOptions(query, ApplyOverrides(options_, overrides));
+  return SolveOrDegrade(Prepare(query), ApplyOverrides(options_, overrides));
 }
 
 Result<SolveResult> EvalSession::SolveUcq(const Ucq& ucq) {
-  return SolvePreparedWithDegrade(PrepareUcq(ucq), options_);
+  return SolveOrDegrade(PrepareUcq(ucq), options_);
 }
 
 Result<SolveResult> EvalSession::SolveUcq(const Ucq& ucq,
                                           const SolveOverrides& overrides) {
-  return SolvePreparedWithDegrade(PrepareUcq(ucq),
-                                  ApplyOverrides(options_, overrides));
+  return SolveOrDegrade(PrepareUcq(ucq), ApplyOverrides(options_, overrides));
 }
 
 std::vector<Result<SolveResult>> EvalSession::SolveBatch(

@@ -34,10 +34,6 @@ struct SessionStats {
   /// Queries whose label set hit the context cache (the session's own map
   /// or the shared InstanceContextCache).
   size_t context_cache_hits = 0;
-  /// Serial-path solves converted to a budgeted Monte Carlo estimate by the
-  /// session's DegradePolicy (EvalSession::Solve only; the serve executor
-  /// counts its own conversions in serve::ExecutorStats).
-  size_t degraded_solves = 0;
 };
 
 /// Pluggable cross-session cache of InstanceContexts, so several sessions
@@ -75,9 +71,9 @@ class EvalSession {
   /// Answers one query; equivalent to Solver(options).Solve(query, instance)
   /// bit for bit. Thread-safe. When the session options carry a CancelToken
   /// AND a DegradePolicy with mode kOnDeadlineRisk, a DeadlineExceeded solve
-  /// is re-dispatched to the budgeted Monte Carlo estimator
-  /// (SolveDegradedMonteCarlo, solver.h) — the serial twin of the serve
-  /// layer's degradation path.
+  /// becomes the budgeted Monte Carlo estimate through DegradeOnDeadlineMiss
+  /// (solver.h), the degrade path the serve executor uses too. Every Solve
+  /// and SolveUcq overload below does the same.
   Result<SolveResult> Solve(const DiGraph& query);
 
   /// Answers one query with per-request overrides applied on top of this
@@ -126,16 +122,6 @@ class EvalSession {
     std::mutex m;
     std::shared_ptr<const InstanceContext> context;  ///< guarded by m
   };
-
-  /// Prepare + SolvePrepared + the DegradePolicy re-dispatch (shared by
-  /// both Solve overloads).
-  Result<SolveResult> SolveWithOptions(const DiGraph& query,
-                                       const SolveOptions& options);
-
-  /// SolvePrepared + the DegradePolicy re-dispatch on an already-prepared
-  /// problem (the tail shared by the CQ and UCQ solve paths).
-  Result<SolveResult> SolvePreparedWithDegrade(const PreparedProblem& prepared,
-                                               const SolveOptions& options);
 
   std::shared_ptr<const InstanceContext> LookupContext(
       const std::vector<LabelId>& labels);

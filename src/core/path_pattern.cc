@@ -22,6 +22,14 @@ namespace {
 /// Subset states are uint64_t bitmasks over positions 0..m.
 constexpr size_t kMaxPatternSteps = 63;
 
+/// What every entry point answers for a pattern SuffixRunDfa cannot hold.
+Status CheckPatternSteps(const PathPattern& pattern) {
+  if (pattern.steps.size() > kMaxPatternSteps) {
+    return Status::Invalid("path patterns are limited to 63 steps");
+  }
+  return Status::OK();
+}
+
 /// NFA over pattern positions 0..m: position i means "steps 1..i matched".
 /// Reading a present edge with label l from position i:
 ///   * advance to i+1 when steps[i].label == l;
@@ -99,9 +107,7 @@ Result<Rational> SolvePathPatternOnDwtForest(const PathPattern& pattern,
                                              const PathPatternOptions& options,
                                              PathPatternStats* stats) {
   if (pattern.steps.empty()) return Rational::One();
-  if (pattern.steps.size() > kMaxPatternSteps) {
-    return Status::Invalid("path patterns are limited to 63 steps");
-  }
+  PHOM_RETURN_NOT_OK(CheckPatternSteps(pattern));
   const DiGraph& g = instance.graph();
   PHOM_ASSIGN_OR_RETURN(DownwardForest forest, BuildDownwardForest(g));
   SuffixRunDfa dfa(pattern, options.max_dfa_states);
@@ -166,9 +172,11 @@ Result<Rational> SolvePathPatternOnDwtForest(const PathPattern& pattern,
   return no_match.Complement();
 }
 
-bool WorldHasPatternMatch(const PathPattern& pattern, const DiGraph& forest,
-                          const std::vector<bool>& kept) {
+Result<bool> WorldHasPatternMatch(const PathPattern& pattern,
+                                  const DiGraph& forest,
+                                  const std::vector<bool>& kept) {
   if (pattern.steps.empty()) return true;
+  PHOM_RETURN_NOT_OK(CheckPatternSteps(pattern));
   SuffixRunDfa dfa(pattern, 1u << 20);
   // DFS from every root over kept edges, carrying the run state.
   std::vector<std::pair<VertexId, uint32_t>> stack;

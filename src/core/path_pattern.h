@@ -67,8 +67,10 @@ Result<Rational> SolvePathPatternOnDwtForest(
     PathPatternStats* stats = nullptr);
 
 /// Oracle for tests: does the FIXED world (kept edges) contain a downward
-/// path of kept edges whose label word matches the pattern?
-bool WorldHasPatternMatch(const PathPattern& pattern, const DiGraph& forest,
-                          const std::vector<bool>& kept);
+/// path of kept edges whose label word matches the pattern? Patterns of more
+/// than 63 steps are Status::Invalid, as in SolvePathPatternOnDwtForest.
+Result<bool> WorldHasPatternMatch(const PathPattern& pattern,
+                                  const DiGraph& forest,
+                                  const std::vector<bool>& kept);
 
 }  // namespace phom

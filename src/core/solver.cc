@@ -95,36 +95,36 @@ Result<const Engine*> SelectEngineForProblem(const EngineRegistry& registry,
   return engine;
 }
 
-Result<SolveResult> SolvePrepared(const PreparedProblem& prepared,
-                                  const SolveOptions& options) {
+namespace {
+
+/// The result every solve starts from: analysis, backend and primary
+/// algorithm — and, when preparation already decided the answer, that
+/// answer, exactly, whatever the backend.
+SolveResult ResultShell(const PreparedProblem& prepared,
+                        const SolveOptions& options) {
   SolveResult out;
   out.analysis = prepared.analysis;
   out.numeric = options.numeric;
   out.stats.primary = prepared.analysis.algorithm;
-
-  bool forced = false;
-  PHOM_ASSIGN_OR_RETURN(
-      const Engine* engine,
-      SelectEngineForProblem(EngineRegistry::Global(), prepared, options,
-                             &forced));
-
-  if (engine == nullptr) {  // immediate answer
+  if (prepared.immediate.has_value()) {
     if (options.numeric == NumericBackend::kExact) {
       out.probability = *prepared.immediate;
     }
     out.probability_double = prepared.immediate->ToDouble();
-    // Preparation decided the answer exactly, whatever the backend.
     out.bound = CertifiedPointBound(*prepared.immediate);
-    return out;
   }
+  return out;
+}
 
-  if (forced) out.stats.primary = engine->algorithm();
-  out.stats.engine = std::string(engine->name());
-
+/// Runs `solve` (SolveStats* -> Result<EngineAnswer>) as engine `engine`,
+/// timing it, and publishes its answer in `out`.
+template <class SolveFn>
+Result<SolveResult> RunEngine(SolveResult out, std::string_view engine,
+                              SolveFn&& solve) {
+  out.stats.engine = std::string(engine);
   const CancelToken::Clock::time_point engine_start =
       CancelToken::Clock::now();
-  PHOM_ASSIGN_OR_RETURN(EngineAnswer answer,
-                        engine->Solve(prepared, options, &out.stats));
+  PHOM_ASSIGN_OR_RETURN(EngineAnswer answer, solve(&out.stats));
   out.stats.duration = CancelToken::Clock::now() - engine_start;
   out.probability = std::move(answer.exact);
   out.probability_double = answer.approx;
@@ -135,24 +135,29 @@ Result<SolveResult> SolvePrepared(const PreparedProblem& prepared,
   return out;
 }
 
+}  // namespace
+
+Result<SolveResult> SolvePrepared(const PreparedProblem& prepared,
+                                  const SolveOptions& options) {
+  SolveResult out = ResultShell(prepared, options);
+  bool forced = false;
+  PHOM_ASSIGN_OR_RETURN(
+      const Engine* engine,
+      SelectEngineForProblem(EngineRegistry::Global(), prepared, options,
+                             &forced));
+  if (engine == nullptr) return out;  // immediate answer
+  if (forced) out.stats.primary = engine->algorithm();
+  return RunEngine(std::move(out), engine->name(), [&](SolveStats* stats) {
+    return engine->Solve(prepared, options, stats);
+  });
+}
+
 Result<SolveResult> SolveDegradedMonteCarlo(const PreparedProblem& prepared,
                                             const SolveOptions& options) {
-  const CancelToken::Clock::time_point start = CancelToken::Clock::now();
-  SolveResult out;
-  out.analysis = prepared.analysis;
-  out.numeric = options.numeric;
-  out.stats.primary = prepared.analysis.algorithm;
-  if (prepared.immediate.has_value()) {
-    // Preparation already decided the answer; "degrading" it would only
-    // replace a free exact answer by an estimate of itself.
-    if (options.numeric == NumericBackend::kExact) {
-      out.probability = *prepared.immediate;
-    }
-    out.probability_double = prepared.immediate->ToDouble();
-    out.bound = CertifiedPointBound(*prepared.immediate);
-    return out;
-  }
-
+  SolveResult out = ResultShell(prepared, options);
+  // Preparation already decided the answer; "degrading" it would only
+  // replace a free exact answer by an estimate of itself.
+  if (prepared.immediate.has_value()) return out;
   const DegradePolicy& policy = options.degrade;
   MonteCarloOptions mc = options.monte_carlo;
   // min_samples >= 1 keeps the estimator from answering DeadlineExceeded:
@@ -161,49 +166,21 @@ Result<SolveResult> SolveDegradedMonteCarlo(const PreparedProblem& prepared,
   mc.samples = std::max(policy.max_samples, mc.min_samples);
   mc.target_half_width = policy.target_half_width;
   mc.target_relative_error = policy.target_relative_error;
-  if (options.cancel != nullptr) mc.cancel = options.cancel;
-  // UCQ requests degrade by sampling the whole UNION per world (any-disjunct
-  // hit), never by combining per-unit estimates through the signed plan.
-  Result<MonteCarloEstimate> sampled =
-      prepared.ucq != nullptr
-          ? EstimateUcqProbabilityMonteCarlo(
-                prepared.ucq->normalized.disjuncts, prepared.instance(),
-                options.monte_carlo_seed, mc)
-          : EstimateProbabilityMonteCarlo(prepared.query, prepared.instance(),
-                                          options.monte_carlo_seed, mc);
-  PHOM_ASSIGN_OR_RETURN(MonteCarloEstimate est, std::move(sampled));
   out.stats.primary = Algorithm::kFallback;
-  out.stats.engine = "monte-carlo";
-  out.stats.worlds = est.samples;
-  out.probability_double = est.estimate;
-  if (est.exact_zero) {
-    // The lower-bound pre-pass PROVED p == 0: return the exact answer
-    // un-degraded (out.probability defaults to zero in every backend).
-    out.bound = ProbabilityBound{0.0, 0.0, /*certified=*/true};
-    out.stats.duration = CancelToken::Clock::now() - start;
-    return out;
+  return RunEngine(std::move(out), "monte-carlo", [&](SolveStats* stats) {
+    return MonteCarloAnswer(prepared, options, mc, /*degraded=*/true, stats);
+  });
+}
+
+bool DegradeOnDeadlineMiss(const PreparedProblem& prepared,
+                           const SolveOptions& options,
+                           Result<SolveResult>* result) {
+  if (result->ok() ||
+      !ShouldDegradeStatus(result->status(), options.degrade)) {
+    return false;
   }
-  if (options.numeric == NumericBackend::kExact) {
-    // hits/samples is exactly representable; still only an estimate.
-    out.probability = Rational(static_cast<int64_t>(est.hits),
-                               static_cast<int64_t>(est.samples));
-  }
-  // Statistical 95% bracket — informative, not certified.
-  out.bound =
-      ProbabilityBound{std::max(0.0, est.estimate - est.half_width_95),
-                       std::min(1.0, est.estimate + est.half_width_95),
-                       /*certified=*/false};
-  out.relative_error_95 =
-      policy.target_relative_error > 0.0 ? est.relative_error_95 : 0.0;
-  out.degrade.degraded = true;
-  out.degrade.estimate = est.estimate;
-  out.degrade.half_width_95 = est.half_width_95;
-  out.degrade.lower_bound = est.lower_bound;
-  out.degrade.relative_error_95 = out.relative_error_95;
-  out.degrade.samples_used = est.samples;
-  out.degrade.budget_spent = CancelToken::Clock::now() - start;
-  out.stats.duration = out.degrade.budget_spent;
-  return out;
+  *result = SolveDegradedMonteCarlo(prepared, options);
+  return true;
 }
 
 Result<SolveResult> Solver::Solve(const DiGraph& query,

@@ -80,10 +80,10 @@ struct DegradePolicy {
   uint64_t max_samples = 1'000'000;
 };
 
-/// THE degrade trigger, shared by every conversion site (EvalSession's
-/// serial path and the serve executor's gates/merges must never drift):
-/// only a deadline miss converts — explicit cancellation and every other
-/// error pass through — and only under mode kOnDeadlineRisk.
+/// THE degrade trigger (DegradeOnDeadlineMiss below, and the serve
+/// executor's submit gate): only a deadline miss converts — explicit
+/// cancellation and every other error pass through — and only under mode
+/// kOnDeadlineRisk.
 inline bool ShouldDegradeStatus(const Status& status,
                                 const DegradePolicy& policy) {
   return status.code() == Status::Code::kDeadlineExceeded &&
@@ -136,8 +136,8 @@ inline bool ShouldEscalateWidth(double width, double hi,
 }
 
 /// Degradation provenance, set on results produced by the Monte Carlo
-/// degradation path (SolveDegradedMonteCarlo / the serve layer's
-/// DegradePolicy re-dispatch), and on forced "monte-carlo" engine runs
+/// degradation path (SolveDegradedMonteCarlo, reached through
+/// DegradeOnDeadlineMiss), and on forced "monte-carlo" engine runs
 /// whose sampling was truncated by a lapsed deadline. All-default on exact
 /// results.
 struct DegradeInfo {
@@ -389,9 +389,21 @@ Result<SolveResult> SolvePrepared(const PreparedProblem& prepared,
 /// aborts with Cancelled. The result carries full DegradeInfo provenance
 /// (estimate, half-width, samples_used, budget_spent). Problems whose
 /// prepared answer is immediate return that EXACT answer un-degraded (it is
-/// free). Deterministic per (prepared, seed, stop cause).
+/// free). Deterministic per (prepared, seed, stop cause), and the same
+/// answer as the forced "monte-carlo" engine given the same samples
+/// (MonteCarloAnswer, engine.h).
 Result<SolveResult> SolveDegradedMonteCarlo(const PreparedProblem& prepared,
                                             const SolveOptions& options);
+
+/// THE degrade path, shared by EvalSession's solves and the serve executor's
+/// completions: when `*result` missed its deadline and options.degrade
+/// allows it (ShouldDegradeStatus), replaces it with
+/// SolveDegradedMonteCarlo(prepared, options) and returns true. Any other
+/// result (OK, cancelled, another error, or the policy off) is left as it
+/// is and the answer is false.
+bool DegradeOnDeadlineMiss(const PreparedProblem& prepared,
+                           const SolveOptions& options,
+                           Result<SolveResult>* result);
 
 // ---------------------------------------------------------------------------
 // Within-query component parallelism (used by the serve layer, serve/).

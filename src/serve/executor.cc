@@ -50,19 +50,6 @@ size_t IntervalWidthBucket(double width) {
 BatchExecutor::BatchExecutor(ExecutorOptions options)
     : options_(std::move(options)),
       injection_(options_.queue_capacity) {
-  if (options_.cost_model != nullptr &&
-      !options_.cost_model_warm_start_json.empty()) {
-    // Warm start BEFORE any worker exists: the first Submit's snapshot
-    // already sees the imported cells, and no completion can race the
-    // import. A bad snapshot is a configuration bug — fail construction
-    // loudly rather than silently serving on cold priors.
-    const Result<size_t> imported = options_.cost_model->ImportSnapshotJson(
-        options_.cost_model_warm_start_json,
-        options_.cost_model_warm_start_decay);
-    PHOM_CHECK_MSG(imported.ok(),
-                   "executor: cost_model_warm_start_json rejected: " +
-                       imported.status().message());
-  }
   const size_t n = ResolveThreads(options_);
   // Per-worker EDF heap bound: the historical GLOBAL bound (the queue
   // capacity) split across workers, so total queued deadline work keeps the
@@ -332,26 +319,16 @@ void BatchExecutor::FinishOrDegrade(
     const std::shared_ptr<internal::RequestState>& request,
     Result<SolveResult> result) {
   internal::RequestState& req = *request;
-  if (!result.ok() && ShouldDegradeStatus(result.status(), req.options.degrade)) {
+  if (!result.ok()) {
     // Deadline miss → budgeted Monte Carlo estimate, right here on the
     // thread that detected the miss (submission order and neighbors are
     // unaffected; the sampling floor bounds the overrun). Cancellation is
-    // NOT converted — only DeadlineExceeded reaches this branch.
-    {
-      // The degraded sampling IS this request's first (and only) work when
-      // the conversion fires at the dequeue gate of a future call site:
-      // record `started` before it runs so solve_time() covers the sampling
-      // instead of reading zero (RequestStats monotonicity, request.h).
-      std::lock_guard<std::mutex> lock(req.mu);
-      if (!req.started_recorded) {
-        req.started_recorded = true;
-        req.stats.started = RequestClock::now();
-      }
-    }
-    degraded_reactive_.fetch_add(1, std::memory_order_relaxed);
-    req.work_started.store(true, std::memory_order_relaxed);
+    // NOT converted. RunTask recorded `started` before any call site here.
     try {
-      result = SolveDegradedMonteCarlo(req.prepared, req.options);
+      if (DegradeOnDeadlineMiss(req.prepared, req.options, &result)) {
+        degraded_reactive_.fetch_add(1, std::memory_order_relaxed);
+        req.work_started.store(true, std::memory_order_relaxed);
+      }
     } catch (const std::exception& e) {
       result =
           Status::Invalid(std::string("serve: degrade exception: ") + e.what());
@@ -856,34 +833,16 @@ std::vector<Result<SolveResult>> BatchExecutor::CollectHelping(
   return Collect(tickets);
 }
 
-std::vector<Result<SolveResult>> BatchExecutor::SolveItems(
-    const std::vector<BatchItem>& items) {
-  std::vector<SolveTicket> tickets;
-  tickets.reserve(items.size());
-  for (const BatchItem& item : items) {
-    if (item.session == nullptr) {
-      tickets.push_back(SolveTicket::Completed(
-          Status::Invalid("serve: null session in batch item")));
-      continue;
-    }
-    if (item.query == nullptr) {
-      tickets.push_back(SolveTicket::Completed(
-          Status::Invalid("serve: null query in request")));
-      continue;
-    }
-    // Borrowed, not owned: this wrapper blocks until every ticket is done,
-    // so the caller's graphs outlive all tasks.
-    tickets.push_back(Submit(*item.session, SolveRequest::BorrowQuery(*item.query)));
-  }
-  return CollectHelping(tickets);
-}
-
 std::vector<Result<SolveResult>> BatchExecutor::SolveBatch(
     EvalSession& session, const std::vector<DiGraph>& queries) {
-  std::vector<BatchItem> items;
-  items.reserve(queries.size());
-  for (const DiGraph& query : queries) items.push_back({&session, &query});
-  return SolveItems(items);
+  std::vector<SolveTicket> tickets;
+  tickets.reserve(queries.size());
+  for (const DiGraph& query : queries) {
+    // Borrowed, not owned: this wrapper blocks until every ticket is done,
+    // so the caller's graphs outlive all tasks.
+    tickets.push_back(Submit(session, SolveRequest::BorrowQuery(query)));
+  }
+  return CollectHelping(tickets);
 }
 
 }  // namespace phom::serve

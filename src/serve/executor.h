@@ -76,9 +76,11 @@
 /// SolveRequest overrides — a request whose exact solve would answer
 /// DeadlineExceeded is instead re-dispatched, on the thread that detected
 /// the miss, to the budgeted Monte Carlo estimator with whatever time
-/// budget remains (floor: policy.min_samples samples). The converted
-/// result is OK, carries SolveResult::degrade provenance (estimate,
-/// half-width, samples_used, budget_spent) and marks RequestStats::degraded.
+/// budget remains (floor: policy.min_samples samples) — the same
+/// DegradeOnDeadlineMiss (solver.h) that EvalSession's solves use. The
+/// converted result is OK, carries SolveResult::degrade provenance
+/// (estimate, half-width, samples_used, budget_spent) and marks
+/// RequestStats::degraded.
 /// At submit, an already-expired deadline then no longer fails fast: the
 /// request is prepared and enqueued so a worker produces the estimate.
 /// Explicit cancellation always answers Cancelled — with the policy on, a
@@ -104,10 +106,10 @@
 /// Every completed exact solve is recorded back into the model, so
 /// predictions sharpen as the pool serves.
 ///
-/// The synchronous API (SolveBatch/SolveItems) is a thin submit+wait
-/// wrapper over the same path; while waiting, the calling thread helps
-/// drain the pool — which is why `threads = 1` makes progress even when
-/// the lone worker is busy with another batch.
+/// The one synchronous wrapper, SolveBatch, is Submit + CollectHelping over
+/// the same path; while waiting, the calling thread helps drain the pool —
+/// which is why `threads = 1` makes progress even when the lone worker is
+/// busy with another batch.
 ///
 /// Determinism guarantee: for every thread count and steal schedule, every
 /// request that COMPLETES (is neither expired nor cancelled) answers
@@ -157,23 +159,10 @@ struct ExecutorOptions {
   /// deadline, drive PROACTIVE degradation, and feed the shedding check
   /// below; completed exact solves are recorded back. Null (the default)
   /// disables prediction entirely — admission and provenance are then
-  /// unchanged from the pre-cost-model executor.
+  /// unchanged from the pre-cost-model executor. To warm-start from a
+  /// persisted snapshot, call CostModel::ImportSnapshotJson(json, decay) on
+  /// the model (it returns a Result) before handing it over.
   std::shared_ptr<CostModel> cost_model;
-  /// Warm-start snapshot for `cost_model` (JSON produced by
-  /// CostModel::ExportSnapshotJson, typically persisted at the end of a
-  /// previous run). Imported once in the constructor, so the very first
-  /// Submit already predicts from learned cells instead of the cold-start
-  /// priors. Empty (the default) = no warm start. Ignored when `cost_model`
-  /// is null. An unparseable snapshot is a configuration bug and fails the
-  /// constructor loudly (PHOM_CHECK).
-  std::string cost_model_warm_start_json;
-  /// Staleness discount applied to the warm-start snapshot at import, in
-  /// [0, 1]: each imported cell is blended toward its cold-start prior by
-  /// this factor (0 = trust the snapshot verbatim, 1 = reset to the prior).
-  /// Yesterday's latencies are evidence, not truth — a machine or build
-  /// change shifts every cell, and the decayed blend lets fresh
-  /// observations re-win the EWMA quickly (see ImportSnapshotJson).
-  double cost_model_warm_start_decay = 0.0;
   /// With a cost model installed: reject a deadline-carrying request at
   /// submit (kResourceExhausted, nothing prepared, the session untouched)
   /// when the predicted backlog exceeds the remaining slack of EVERY
@@ -267,15 +256,6 @@ inline constexpr size_t kIntervalWidthInvalid = 66;
 /// side. Exposed for tests and for dashboards that label the axis.
 size_t IntervalWidthBucket(double width);
 
-/// One unit of a synchronous heterogeneous batch: a query against a session
-/// (sessions may differ per item — that is how ShardedServer fans one
-/// request batch across shards). Both pointers must outlive the SolveItems
-/// call; for asynchronous submission use SolveRequest, which owns its query.
-struct BatchItem {
-  EvalSession* session;
-  const DiGraph* query;
-};
-
 class BatchExecutor {
  public:
   explicit BatchExecutor(ExecutorOptions options = {});
@@ -325,13 +305,10 @@ class BatchExecutor {
   // -------------------------------------------------------------------------
 
   /// Answers `queries` against `session` in order; result i is bit-identical
-  /// to serial session.SolveBatch(queries)[i] for every thread count.
+  /// to serial session.SolveBatch(queries)[i] for every thread count. A batch
+  /// across sessions is Submit per request + CollectHelping.
   std::vector<Result<SolveResult>> SolveBatch(
       EvalSession& session, const std::vector<DiGraph>& queries);
-
-  /// Heterogeneous variant: items may target different sessions.
-  std::vector<Result<SolveResult>> SolveItems(
-      const std::vector<BatchItem>& items);
 
  private:
   /// One schedulable unit: component `component` of the request, the whole
@@ -395,7 +372,7 @@ class BatchExecutor {
               Result<SolveResult> result);
   /// Finish, but a DeadlineExceeded result is first converted into a
   /// budgeted Monte Carlo estimate when the request's DegradePolicy allows
-  /// (the degraded solve runs on the calling thread).
+  /// (DegradeOnDeadlineMiss, on the calling thread).
   void FinishOrDegrade(const std::shared_ptr<internal::RequestState>& request,
                        Result<SolveResult> result);
   /// The escalation hook (EscalationPolicy, solver.h), run on every solve

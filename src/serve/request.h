@@ -11,13 +11,13 @@
 #include "src/graph/ucq.h"
 
 /// \file request.h
-/// The unit of the asynchronous serving API (async.h, executor.h, shard.h):
+/// The one request type of the serving API (async.h, executor.h, shard.h):
 /// one query addressed to one shard, with per-request overrides of the
-/// session's SolveOptions, an optional absolute deadline, and — unlike the
-/// raw pointers of the synchronous ShardRequest/BatchItem, which are only
-/// safe because those calls block until completion — OWNED query storage:
-/// a submitted SolveRequest keeps its query alive even after the caller's
-/// batch vector dies, so asynchronous submission cannot dangle.
+/// session's SolveOptions, an optional absolute deadline, and OWNED query
+/// storage: a submitted SolveRequest keeps its query alive even after the
+/// caller's batch vector dies, so asynchronous submission cannot dangle.
+/// Only the blocking wrappers borrow (BorrowQuery), because they outlive
+/// the solve by construction.
 
 namespace phom::serve {
 
@@ -61,7 +61,7 @@ struct SolveRequest {
   /// RELATIVE time budget, resolved against the SUBMIT time (not the time
   /// this request object was built): Submit materializes it as
   /// deadline = submit_time + budget, so batch-building time between
-  /// WithTimeout/WithBudget and Submit no longer silently eats the budget.
+  /// WithBudget and Submit no longer silently eats the budget.
   /// When both a budget and an absolute deadline are set, the earlier of
   /// the two effective deadlines wins.
   std::optional<std::chrono::nanoseconds> budget;
@@ -93,10 +93,6 @@ struct SolveRequest {
   SolveRequest& WithBudget(std::chrono::nanoseconds b) {
     budget = b;
     return *this;
-  }
-  /// Alias of WithBudget, kept for callers that read better as "timeout".
-  SolveRequest& WithTimeout(std::chrono::nanoseconds b) {
-    return WithBudget(b);
   }
   SolveRequest& WithNumeric(NumericBackend backend) {
     overrides.numeric = backend;

@@ -72,20 +72,4 @@ std::vector<Result<SolveResult>> ShardedServer::SolveBatch(
   return Collect(tickets);
 }
 
-std::vector<Result<SolveResult>> ShardedServer::SolveRequests(
-    const std::vector<ShardRequest>& requests) {
-  std::vector<SolveTicket> tickets;
-  tickets.reserve(requests.size());
-  for (const ShardRequest& request : requests) {
-    // Rejections become already-completed tickets inside Submit (shard
-    // validated before the query, as before), so per-request failures stay
-    // per-request without disturbing neighbors.
-    tickets.push_back(Submit(
-        request.query == nullptr
-            ? SolveRequest(std::shared_ptr<const DiGraph>(), request.shard)
-            : SolveRequest::BorrowQuery(*request.query, request.shard)));
-  }
-  return Collect(tickets);
-}
-
 }  // namespace phom::serve

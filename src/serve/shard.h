@@ -16,9 +16,9 @@
 /// The front door is the asynchronous request/response API (request.h,
 /// async.h): Submit/SubmitBatch return SolveTickets immediately, with
 /// per-request deadlines, overrides and cooperative cancellation; Collect
-/// waits (helping to drain the pool's queue). The synchronous
-/// Solve/SolveBatch/SolveRequests are thin submit+wait wrappers over the
-/// same path, kept for callers that want blocking semantics.
+/// waits (helping to drain the pool's queue). The synchronous Solve and
+/// SolveBatch (one shard) are thin submit+wait wrappers over the same path;
+/// a blocking batch across shards is SubmitBatch + Collect.
 ///
 /// Graceful degradation: set ShardedServerOptions::solve.degrade (server-
 /// wide default) or the per-request SolveRequest override to
@@ -52,15 +52,6 @@ struct ShardedServerOptions {
   /// Capacity of the shared cross-instance context LRU.
   ContextLruOptions context_cache;
   ExecutorOptions executor;
-};
-
-/// One query addressed to one shard — the SYNCHRONOUS batch unit. The raw
-/// pointer is safe only because SolveRequests blocks until every result is
-/// in; asynchronous submission uses SolveRequest (request.h), which owns
-/// its query.
-struct ShardRequest {
-  size_t shard = 0;
-  const DiGraph* query = nullptr;
 };
 
 class ShardedServer {
@@ -106,11 +97,6 @@ class ShardedServer {
   /// A batch against one shard, fanned over the thread pool.
   std::vector<Result<SolveResult>> SolveBatch(
       size_t shard, const std::vector<DiGraph>& queries);
-
-  /// A mixed batch across shards, fanned over the thread pool; results
-  /// align with `requests` (per-request failures stay per-request).
-  std::vector<Result<SolveResult>> SolveRequests(
-      const std::vector<ShardRequest>& requests);
 
   /// Counters of the shared cross-instance context cache.
   ContextLruStats context_cache_stats() const { return cache_->stats(); }

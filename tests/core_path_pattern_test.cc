@@ -18,7 +18,7 @@ Rational PatternProbabilityBruteForce(const PathPattern& pattern,
   std::vector<bool> kept(m);
   for (uint32_t mask = 0; mask < (1u << m); ++mask) {
     for (size_t e = 0; e < m; ++e) kept[e] = (mask >> e) & 1;
-    if (WorldHasPatternMatch(pattern, instance.graph(), kept)) {
+    if (*WorldHasPatternMatch(pattern, instance.graph(), kept)) {
       total += instance.WorldProbability(kept);
     }
   }
@@ -46,10 +46,18 @@ TEST(PathPattern, RejectsOver63Steps) {
     Result<Rational> r = SolvePathPatternOnDwtForest(p, h);
     ASSERT_FALSE(r.ok()) << steps;
     EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument) << steps;
+    // The world oracle answers the same Status instead of throwing.
+    Result<bool> world = WorldHasPatternMatch(p, h.graph(), {true});
+    ASSERT_FALSE(world.ok()) << steps;
+    EXPECT_EQ(world.status().code(), Status::Code::kInvalidArgument) << steps;
+    EXPECT_EQ(world.status().message(), r.status().message()) << steps;
   }
   PathPattern longest;
   longest.steps.assign(63, PatternStep{0, true});
   EXPECT_EQ(*SolvePathPatternOnDwtForest(longest, h), Rational::Zero());
+  Result<bool> world = WorldHasPatternMatch(longest, h.graph(), {true});
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  EXPECT_FALSE(*world) << "one edge cannot match 63 steps";
 }
 
 TEST(PathPattern, ChildAxesCoincideWithProp410) {

@@ -377,30 +377,24 @@ TEST(CostModel, ImportDecayBlendsTowardThePrior) {
 }
 
 TEST(CostModel, ExecutorWarmStartImportsAtConstruction) {
-  // Learn a cell in one "run", persist it, and hand the bytes to a fresh
-  // executor: its model must predict from the learned cell before any
-  // request completes.
+  // Learn a cell in one "run", persist it, import the bytes into a fresh
+  // model and hand that to a new executor: it must predict from the learned
+  // cell before any request completes.
   CostModel previous_run;
   previous_run.RecordComponent("fallback", GraphClass::kGeneral, 10,
                                std::chrono::nanoseconds(5'000'000));
   const std::string json = previous_run.ExportSnapshotJson();
 
   auto model = std::make_shared<CostModel>();
+  ASSERT_TRUE(model->ImportSnapshotJson(json).ok());
   ExecutorOptions options;
   options.threads = 1;
   options.cost_model = model;
-  options.cost_model_warm_start_json = json;
   BatchExecutor executor(options);
   EXPECT_EQ(model->Snapshot()->num_cells(), 1u);
   EXPECT_FALSE(model->Snapshot()
                    ->PredictComponent("fallback", GraphClass::kGeneral, 10)
                    .from_prior);
-  // Without a model the field is inert.
-  ExecutorOptions no_model;
-  no_model.threads = 1;
-  no_model.cost_model_warm_start_json = json;
-  BatchExecutor inert(no_model);
-  EXPECT_EQ(inert.stats().submitted, 0u);
 }
 
 TEST(CostModel, RecordSolveSkipsDegradedAndImmediateResults) {
@@ -629,7 +623,7 @@ TEST(ServeAdmission, ProactiveDegradeSkipsTheExactSolveEntirely) {
   BatchExecutor executor(options);
 
   SolveRequest request(hard.query);
-  request.WithTimeout(std::chrono::milliseconds(50))
+  request.WithBudget(std::chrono::milliseconds(50))
       .WithDegradeOnDeadlineRisk()
       .WithMonteCarloSeed(1234);
   SolveTicket ticket = executor.Submit(session, std::move(request));
@@ -682,7 +676,7 @@ TEST(ServeAdmission, ReactiveConversionIsNotMarkedProactive) {
   }
 
   SolveRequest request(hard.query);
-  request.WithTimeout(std::chrono::milliseconds(80))
+  request.WithBudget(std::chrono::milliseconds(80))
       .WithDegradeOnDeadlineRisk()
       .WithMonteCarloSeed(777);
   SolveTicket ticket = executor.Submit(session, std::move(request));
@@ -736,7 +730,7 @@ TEST(ServeAdmission, ShedsHopelessRequestsAtSubmitWithoutPreparing) {
   // session untouched.
   const size_t queries_before = session.stats().queries;
   SolveRequest hopeless(MakeLabeledPath({1}));
-  hopeless.WithTimeout(std::chrono::milliseconds(10));
+  hopeless.WithBudget(std::chrono::milliseconds(10));
   SolveTicket shed_ticket = executor.Submit(session, std::move(hopeless));
   Result<SolveResult> shed_result = shed_ticket.Get();
   ASSERT_FALSE(shed_result.ok());
@@ -750,7 +744,7 @@ TEST(ServeAdmission, ShedsHopelessRequestsAtSubmitWithoutPreparing) {
 
   // Victim 2: a distant deadline the backlog CAN clear → admitted normally.
   SolveRequest patient(MakeLabeledPath({1}));
-  patient.WithTimeout(std::chrono::hours(1));
+  patient.WithBudget(std::chrono::hours(1));
   SolveTicket patient_ticket = executor.Submit(session, std::move(patient));
   EXPECT_FALSE(patient_ticket.done()) << "admitted, waiting on the backlog";
 
@@ -759,7 +753,7 @@ TEST(ServeAdmission, ShedsHopelessRequestsAtSubmitWithoutPreparing) {
   // must NOT shed (a reordering could still serve victim 2). The request is
   // admitted and, with degradation off, eventually answers DeadlineExceeded.
   SolveRequest doomed(MakeLabeledPath({1}));
-  doomed.WithTimeout(std::chrono::milliseconds(10));
+  doomed.WithBudget(std::chrono::milliseconds(10));
   SolveTicket doomed_ticket = executor.Submit(session, std::move(doomed));
 
   // Let the admitted 10 ms deadline actually lapse while the worker is still
@@ -903,7 +897,7 @@ TEST(ServeAdmission, SlackOrderingSubtractsPredictedCostFromTheDeadline) {
 }
 
 // ---------------------------------------------------------------------------
-// The WithTimeout/WithBudget submit-time fix (the bug this sweep targets).
+// The WithBudget submit-time fix (the bug this sweep targets).
 // ---------------------------------------------------------------------------
 
 TEST(ServeAdmission, BudgetResolvesAtSubmitNotAtConstruction) {
@@ -916,7 +910,7 @@ TEST(ServeAdmission, BudgetResolvesAtSubmitNotAtConstruction) {
   // the budget. Under the old construction-time stamping this request would
   // arrive already expired and fail with DeadlineExceeded.
   SolveRequest request(MakeLabeledPath({0}));
-  request.WithTimeout(std::chrono::milliseconds(150));
+  request.WithBudget(std::chrono::milliseconds(150));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   const RequestClock::time_point submit_time = RequestClock::now();
   SolveTicket ticket = executor.Submit(session, std::move(request));

@@ -40,7 +40,6 @@ using serve::RequestClock;
 using serve::RequestStats;
 using serve::ShardedServer;
 using serve::ShardedServerOptions;
-using serve::ShardRequest;
 using serve::SolveRequest;
 using serve::SolveTicket;
 using test_util::MixedServeInstance;
@@ -576,9 +575,14 @@ TEST(ShardedServerAsync, SubmitRoutesCollectsAndRejectsPerRequest) {
   EXPECT_EQ(rejected_calls, 1);
   ASSERT_TRUE(rejected.done());
 
-  // The synchronous wrappers are submit+wait over the same path.
-  std::vector<ShardRequest> sync_requests = {{0, &query}, {1, &query}};
-  std::vector<Result<SolveResult>> sync = server.SolveRequests(sync_requests);
+  // A blocking cross-shard batch is SubmitBatch + Collect over borrowed
+  // queries: the same path.
+  std::vector<SolveRequest> sync_requests;
+  sync_requests.push_back(SolveRequest::BorrowQuery(query, 0));
+  sync_requests.push_back(SolveRequest::BorrowQuery(query, 1));
+  std::vector<SolveTicket> sync_tickets =
+      server.SubmitBatch(std::move(sync_requests));
+  std::vector<Result<SolveResult>> sync = server.Collect(sync_tickets);
   ExpectResultsBitIdentical(expected_a, sync[0], "sync wrapper shard 0");
   ExpectResultsBitIdentical(expected_b, sync[1], "sync wrapper shard 1");
 }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -29,7 +30,7 @@ using serve::ContextLruOptions;
 using serve::ContextLruStats;
 using serve::ShardedServer;
 using serve::ShardedServerOptions;
-using serve::ShardRequest;
+using serve::SolveRequest;
 
 ProbGraph StressInstance(uint64_t seed) {
   Rng rng(seed);
@@ -115,16 +116,18 @@ TEST(ShardedServerStress, ManyThreadsMixedTraffic) {
             break;
           }
           case 2: {  // cross-shard request batch
-            std::vector<ShardRequest> requests;
+            std::vector<SolveRequest> requests;
             for (size_t i = 0; i < queries.size(); ++i) {
-              requests.push_back(
-                  {(shard + i) % server.num_shards(), &queries[i]});
+              requests.push_back(SolveRequest::BorrowQuery(
+                  queries[i], (shard + i) % server.num_shards()));
             }
-            std::vector<Result<SolveResult>> results =
-                server.SolveRequests(requests);
-            for (size_t i = 0; i < requests.size(); ++i) {
-              ExpectSameResult(expected[requests[i].shard][i], results[i],
-                               "SolveRequests");
+            std::vector<serve::SolveTicket> tickets =
+                server.SubmitBatch(std::move(requests));
+            std::vector<Result<SolveResult>> results = server.Collect(tickets);
+            for (size_t i = 0; i < queries.size(); ++i) {
+              ExpectSameResult(
+                  expected[(shard + i) % server.num_shards()][i], results[i],
+                  "SubmitBatch");
             }
             break;
           }
@@ -162,12 +165,24 @@ TEST(ShardedServerStress, OutOfRangeAndNullRequests) {
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].status().code(), Status::Code::kInvalidArgument);
 
-  std::vector<ShardRequest> requests = {{0, &q}, {9, &q}, {0, nullptr}};
-  std::vector<Result<SolveResult>> results = server.SolveRequests(requests);
-  ASSERT_EQ(results.size(), 3u);
+  // The shard is validated before the query: {9, null} is a bad shard.
+  std::vector<SolveRequest> requests;
+  requests.push_back(SolveRequest::BorrowQuery(q, 0));
+  requests.push_back(SolveRequest::BorrowQuery(q, 9));
+  requests.push_back(SolveRequest(std::shared_ptr<const DiGraph>(), 0));
+  requests.push_back(SolveRequest(std::shared_ptr<const DiGraph>(), 9));
+  std::vector<serve::SolveTicket> tickets =
+      server.SubmitBatch(std::move(requests));
+  std::vector<Result<SolveResult>> results = server.Collect(tickets);
+  ASSERT_EQ(results.size(), 4u);
   EXPECT_TRUE(results[0].ok());
   EXPECT_EQ(results[1].status().code(), Status::Code::kInvalidArgument);
   EXPECT_EQ(results[2].status().code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(results[2].status().message(), "serve: null query in request");
+  EXPECT_EQ(results[3].status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(results[3].status().message().find("shard 9 out of range"),
+            std::string::npos)
+      << results[3].status().message();
 }
 
 TEST(ShardedServerStress, RequestTimelinesMonotonicUnderMixedLoad) {
