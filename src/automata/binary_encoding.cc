@@ -1,9 +1,6 @@
 #include "src/automata/binary_encoding.h"
 
 #include <algorithm>
-#include <queue>
-
-#include "src/graph/classify.h"
 
 namespace phom {
 
@@ -20,41 +17,42 @@ std::vector<bool> EncodedPolytree::WorldToNodePresence(
 
 Result<EncodedPolytree> EncodePolytree(const ProbGraph& instance) {
   const DiGraph& g = instance.graph();
-  if (!IsPolytree(g)) {
+  size_t n = g.num_vertices();
+  // A connected graph with |E| = |V| − 1 is a polytree (classify.h): the edge
+  // count here and the BFS reaching every vertex below decide it, with no
+  // Classify.
+  if (g.num_edges() + 1 != n) {
     return Status::Invalid("EncodePolytree requires a polytree instance");
   }
-
-  size_t n = g.num_vertices();
-  // Root the underlying tree at vertex 0; BFS to find parents.
+  // Root the underlying tree at vertex 0; BFS to find parents. bfs_order is
+  // the queue itself, so each vertex's children form the contiguous block
+  // bfs_order[child_begin[v], child_end[v]).
   std::vector<int64_t> parent(n, -1);
   std::vector<EdgeId> parent_edge(n, 0);
+  std::vector<uint32_t> child_begin(n, 0);
+  std::vector<uint32_t> child_end(n, 0);
   std::vector<VertexId> bfs_order;
   bfs_order.reserve(n);
   std::vector<bool> seen(n, false);
-  std::queue<VertexId> queue;
-  queue.push(0);
+  bfs_order.push_back(0);
   seen[0] = true;
-  while (!queue.empty()) {
-    VertexId v = queue.front();
-    queue.pop();
-    bfs_order.push_back(v);
+  for (size_t head = 0; head < bfs_order.size(); ++head) {
+    VertexId v = bfs_order[head];
+    child_begin[v] = static_cast<uint32_t>(bfs_order.size());
     auto visit = [&](VertexId w, EdgeId e) {
       if (!seen[w]) {
         seen[w] = true;
         parent[w] = v;
         parent_edge[w] = e;
-        queue.push(w);
+        bfs_order.push_back(w);
       }
     };
     for (EdgeId e : g.OutEdges(v)) visit(g.edge(e).dst, e);
     for (EdgeId e : g.InEdges(v)) visit(g.edge(e).src, e);
+    child_end[v] = static_cast<uint32_t>(bfs_order.size());
   }
-  PHOM_CHECK(bfs_order.size() == n);
-
-  // Tree children lists.
-  std::vector<std::vector<VertexId>> children(n);
-  for (VertexId v : bfs_order) {
-    if (parent[v] >= 0) children[static_cast<VertexId>(parent[v])].push_back(v);
+  if (bfs_order.size() != n) {
+    return Status::Invalid("EncodePolytree requires a polytree instance");
   }
 
   EncodedPolytree out;
@@ -65,13 +63,8 @@ Result<EncodedPolytree> EncodePolytree(const ProbGraph& instance) {
   auto add_node = [&out](StepLabel label, Rational prob, EdgeId source,
                          int32_t left, int32_t right) -> int32_t {
     PHOM_CHECK((left < 0) == (right < 0));
-    EncodedNode node;
-    node.label = label;
-    node.prob = std::move(prob);
-    node.source_edge = source;
-    node.left = left;
-    node.right = right;
-    out.nodes.push_back(std::move(node));
+    out.nodes.push_back(
+        EncodedNode{left, right, label, std::move(prob), source});
     return static_cast<int32_t>(out.nodes.size() - 1);
   };
 
@@ -95,26 +88,24 @@ Result<EncodedPolytree> EncodePolytree(const ProbGraph& instance) {
 
   // Children before parents: process vertices in reverse BFS order.
   std::vector<int32_t> node_of_vertex(n, -1);
+  std::vector<int32_t> child_ids;
   for (size_t idx = n; idx-- > 0;) {
     VertexId v = bfs_order[idx];
-    std::vector<int32_t> child_ids;
-    child_ids.reserve(children[v].size());
-    for (VertexId c : children[v]) {
-      PHOM_CHECK(node_of_vertex[c] >= 0);
-      child_ids.push_back(node_of_vertex[c]);
+    child_ids.clear();
+    for (uint32_t c = child_begin[v]; c < child_end[v]; ++c) {
+      PHOM_CHECK(node_of_vertex[bfs_order[c]] >= 0);
+      child_ids.push_back(node_of_vertex[bfs_order[c]]);
     }
     auto [left, right] = binarize(child_ids);
-    StepLabel label = StepLabel::kEps;
-    Rational prob = Rational::One();
-    EdgeId source = EncodedNode::kNoSourceEdge;
-    if (parent[v] >= 0) {
-      EdgeId e = parent_edge[v];
-      source = e;
-      prob = instance.prob(e);
-      // Edge directed v -> parent is an upward step; parent -> v downward.
-      label = g.edge(e).src == v ? StepLabel::kUp : StepLabel::kDown;
+    if (parent[v] < 0) {
+      node_of_vertex[v] = add_node(StepLabel::kEps, Rational::One(),
+                                   EncodedNode::kNoSourceEdge, left, right);
+      continue;
     }
-    node_of_vertex[v] = add_node(label, std::move(prob), source, left, right);
+    EdgeId e = parent_edge[v];
+    // Edge directed v -> parent is an upward step; parent -> v downward.
+    StepLabel label = g.edge(e).src == v ? StepLabel::kUp : StepLabel::kDown;
+    node_of_vertex[v] = add_node(label, instance.prob(e), e, left, right);
   }
   out.root = node_of_vertex[0];
   return out;

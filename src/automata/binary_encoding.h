@@ -54,7 +54,7 @@ struct EncodedPolytree {
 };
 
 /// Requires the instance to be a polytree (single connected component whose
-/// underlying graph is a tree); rooted at vertex 0.
+/// underlying graph is a tree), else Status::Invalid; rooted at vertex 0.
 Result<EncodedPolytree> EncodePolytree(const ProbGraph& instance);
 
 }  // namespace phom

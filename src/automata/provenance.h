@@ -22,6 +22,13 @@
 ///     world is unique (determinism).
 /// Probability of acceptance = DnnfProbability of the root OR gate, with one
 /// Boolean variable per tree node (ε-nodes are certain).
+///
+/// This is the paper's construction, kept as the reference. The solver does
+/// not build it: SolvePathProbabilityOnPolytreeT (core/algo_polytree.h)
+/// evaluates the same sums and products directly on the run, node by node,
+/// in this circuit's gate order. The circuit and DnnfProbabilityT are its
+/// differential oracle (tests/core_polytree_fused_diff_test.cc), bit for bit
+/// and gate count for gate count.
 
 namespace phom {
 

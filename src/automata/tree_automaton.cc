@@ -10,52 +10,10 @@ LongestRunAutomaton::LongestRunAutomaton(uint32_t m) : m_(m) {
   PHOM_CHECK_MSG(m >= 1, "use the trivial answer for m == 0");
 }
 
-uint32_t LongestRunAutomaton::Encode(uint32_t i, uint32_t j,
-                                     uint32_t k) const {
-  PHOM_CHECK(i <= m_ && j <= m_ && k <= m_);
-  return (i * (m_ + 1) + j) * (m_ + 1) + k;
-}
-
-void LongestRunAutomaton::Decode(uint32_t state, uint32_t* i, uint32_t* j,
-                                 uint32_t* k) const {
-  *k = state % (m_ + 1);
-  state /= m_ + 1;
-  *j = state % (m_ + 1);
-  *i = state / (m_ + 1);
-}
-
 uint32_t LongestRunAutomaton::LeafState(StepLabel label, bool present) const {
   if (!present || label == StepLabel::kEps) return Encode(0, 0, 0);
   if (label == StepLabel::kUp) return Encode(1, 0, 1);
   return Encode(0, 1, 1);  // kDown
-}
-
-uint32_t LongestRunAutomaton::Transition(StepLabel label, bool present,
-                                         uint32_t left,
-                                         uint32_t right) const {
-  uint32_t i, j, k, i2, j2, k2;
-  Decode(left, &i, &j, &k);
-  Decode(right, &i2, &j2, &k2);
-  auto cap = [this](uint32_t x) { return std::min(x, m_); };
-  // Longest paths crossing the shared root vertex of the two halves.
-  uint32_t cross = std::max(i + j2, i2 + j);
-  uint32_t best = std::max({k, k2, cross});
-  if (!present || label == StepLabel::kEps) {
-    if (!present) {
-      // The connecting edge is absent: nothing ends at / leaves the parent
-      // vertex through this subtree, but paths inside it survive.
-      return Encode(0, 0, cap(best));
-    }
-    // ε: both halves share their root vertex with the parent context.
-    return Encode(std::max(i, i2), std::max(j, j2), cap(best));
-  }
-  if (label == StepLabel::kUp) {
-    uint32_t up = cap(std::max(i, i2) + 1);
-    return Encode(up, 0, cap(std::max(best, up)));
-  }
-  // kDown.
-  uint32_t down = cap(std::max(j, j2) + 1);
-  return Encode(0, down, cap(std::max(best, down)));
 }
 
 bool LongestRunAutomaton::IsAccepting(uint32_t state) const {

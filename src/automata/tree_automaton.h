@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "src/automata/binary_encoding.h"
+#include "src/util/status.h"
 
 /// \file tree_automaton.h
 /// Bottom-up deterministic tree automata (Definition 5.2) over the encoded
@@ -39,6 +41,8 @@ class LongestRunAutomaton final : public BottomUpAutomaton {
 
   uint32_t num_states() const override { return (m_ + 1) * (m_ + 1) * (m_ + 1); }
   uint32_t LeafState(StepLabel label, bool present) const override;
+  /// Inline, like Encode/Decode: the fused polytree DP
+  /// (core/algo_polytree.cc) calls it once per (state pair, presence).
   uint32_t Transition(StepLabel label, bool present, uint32_t left,
                       uint32_t right) const override;
   bool IsAccepting(uint32_t state) const override;
@@ -46,12 +50,48 @@ class LongestRunAutomaton final : public BottomUpAutomaton {
   uint32_t m() const { return m_; }
 
   /// State encoding helpers (exposed for tests).
-  uint32_t Encode(uint32_t i, uint32_t j, uint32_t k) const;
-  void Decode(uint32_t state, uint32_t* i, uint32_t* j, uint32_t* k) const;
+  uint32_t Encode(uint32_t i, uint32_t j, uint32_t k) const {
+    PHOM_CHECK(i <= m_ && j <= m_ && k <= m_);
+    return (i * (m_ + 1) + j) * (m_ + 1) + k;
+  }
+  void Decode(uint32_t state, uint32_t* i, uint32_t* j, uint32_t* k) const {
+    *k = state % (m_ + 1);
+    state /= m_ + 1;
+    *j = state % (m_ + 1);
+    *i = state / (m_ + 1);
+  }
 
  private:
   uint32_t m_;
 };
+
+inline uint32_t LongestRunAutomaton::Transition(StepLabel label, bool present,
+                                                uint32_t left,
+                                                uint32_t right) const {
+  uint32_t i, j, k, i2, j2, k2;
+  Decode(left, &i, &j, &k);
+  Decode(right, &i2, &j2, &k2);
+  auto cap = [this](uint32_t x) { return std::min(x, m_); };
+  // Longest paths crossing the shared root vertex of the two halves.
+  uint32_t cross = std::max(i + j2, i2 + j);
+  uint32_t best = std::max({k, k2, cross});
+  if (!present || label == StepLabel::kEps) {
+    if (!present) {
+      // The connecting edge is absent: nothing ends at / leaves the parent
+      // vertex through this subtree, but paths inside it survive.
+      return Encode(0, 0, cap(best));
+    }
+    // ε: both halves share their root vertex with the parent context.
+    return Encode(std::max(i, i2), std::max(j, j2), cap(best));
+  }
+  if (label == StepLabel::kUp) {
+    uint32_t up = cap(std::max(i, i2) + 1);
+    return Encode(up, 0, cap(std::max(best, up)));
+  }
+  // kDown.
+  uint32_t down = cap(std::max(j, j2) + 1);
+  return Encode(0, down, cap(std::max(best, down)));
+}
 
 /// Deterministic run on a fixed world: returns the root state. `present`
 /// aligns with tree.nodes (see EncodedPolytree::WorldToNodePresence).

@@ -11,15 +11,27 @@
 /// Props. 5.4/5.5: PHom̸L(⊔DWT, PT) in PTIME via tree automata.
 ///
 /// Per polytree component: encode as a full binary probabilistic tree
-/// (Appendix C), run the deterministic ⟨↑, ↓, Max⟩ automaton symbolically by
-/// building its provenance circuit — a d-DNNF because the automaton is
-/// deterministic — and evaluate the circuit's probability bottom-up.
+/// (Appendix C) and run the deterministic ⟨↑, ↓, Max⟩ automaton of Prop. 5.4
+/// on it symbolically, bottom-up: each node keeps Pr(the run reaches q) for
+/// every reachable state q, a sum over the (left state, right state,
+/// presence) triples that δ maps to q of p_t or 1 − p_t times the two child
+/// probabilities. Determinism makes those terms disjoint events and the
+/// children's variables are disjoint, so this is exactly the bottom-up
+/// evaluation of the automaton's provenance d-DNNF (automata/provenance.h),
+/// fused into the run: no circuit is built on the solve path. The DP adds
+/// and multiplies in the order DnnfProbabilityT evaluates that circuit's
+/// gates, so its answers are bit-identical to BuildProvenanceCircuit +
+/// DnnfProbabilityT on every backend, and PolytreeStats counts the gates the
+/// circuit would have; the circuit remains as the paper's construction and
+/// the differential oracle (tests/core_polytree_fused_diff_test.cc).
 /// ⊔DWT queries first collapse to →^height (Prop. 5.5); components combine
-/// by Lemma 3.7. Circuit construction is numeric-independent; only the
-/// bottom-up evaluation pass runs in the selected backend.
+/// by Lemma 3.7.
 
 namespace phom {
 
+/// Sizes of the implicit provenance circuit (equal to BuildProvenanceCircuit's
+/// num_gates(), state_pairs and max_states_per_node), summed over components
+/// (max for max_states_per_node).
 struct PolytreeStats {
   size_t encoded_nodes = 0;
   size_t circuit_gates = 0;
@@ -28,7 +40,8 @@ struct PolytreeStats {
 };
 
 /// Pr(the world contains a directed path of m >= 1 edges) for a single
-/// polytree component, in the numeric backend of `Num`.
+/// polytree component, in the numeric backend of `Num`. Status::Invalid if
+/// `component` is not a polytree (EncodePolytree's check).
 template <class Num>
 Result<Num> SolvePathProbabilityOnPolytreeT(uint32_t m,
                                             const ProbGraph& component,

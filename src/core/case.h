@@ -123,7 +123,7 @@ struct PreparedProblem {
   /// plain single-CQ path above, bit-identically). When set, `query` holds
   /// the first disjunct and `context` the union-label context — enough for
   /// the generic plumbing — while the lifted plan drives the actual solve.
-  std::shared_ptr<const lifted::PreparedUcq> ucq;
+  std::shared_ptr<const lifted::PreparedUcq> ucq = nullptr;
 
   /// The label-restricted instance (empty graph when context is null).
   /// Builds the context's lazy instance on first use.

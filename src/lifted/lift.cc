@@ -481,7 +481,12 @@ PreparedProblem PrepareUcqWithProvider(
   PHOM_CHECK_MSG(out.context != nullptr, "context provider returned null");
 
   PlanBuilder builder{prepared_ucq->normalized.disjuncts,
-                      instance_num_vertices, provider, out.context->instance()};
+                      instance_num_vertices,
+                      provider,
+                      out.context->instance(),
+                      /*plan=*/{},
+                      /*leaf_memo=*/{},
+                      /*cap_failure=*/{}};
   builder.Compile();
   prepared_ucq->plan = std::move(builder.plan);
 

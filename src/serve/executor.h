@@ -162,7 +162,7 @@ struct ExecutorOptions {
   /// unchanged from the pre-cost-model executor. To warm-start from a
   /// persisted snapshot, call CostModel::ImportSnapshotJson(json, decay) on
   /// the model (it returns a Result) before handing it over.
-  std::shared_ptr<CostModel> cost_model;
+  std::shared_ptr<CostModel> cost_model = nullptr;
   /// With a cost model installed: reject a deadline-carrying request at
   /// submit (kResourceExhausted, nothing prepared, the session untouched)
   /// when the predicted backlog exceeds the remaining slack of EVERY
@@ -186,7 +186,7 @@ struct ExecutorOptions {
   /// must be stolen (a deterministic forced-steal gate), and the mid-flight
   /// expiry/cancel suites use the same parking spot to land a deadline or
   /// cancel between component tasks. Leave unset in production.
-  std::function<void(size_t worker_index)> test_after_fanout;
+  std::function<void(size_t worker_index)> test_after_fanout = nullptr;
 };
 
 /// Monotonic counters of admission/scheduling outcomes (updated with

@@ -158,7 +158,13 @@ BigInt& BigInt::operator*=(const BigInt& other) {
     sign_ = 0;
     return *this;
   }
-  mag_ = MulMag(mag_, other.mag_);
+  // A factor of magnitude 1 (every product that starts from 1) needs no limb
+  // product: the result is the other factor's magnitude, signs multiplied.
+  if (mag_.size() == 1 && mag_[0] == 1) {
+    mag_ = other.mag_;
+  } else if (other.mag_.size() != 1 || other.mag_[0] != 1) {
+    mag_ = MulMag(mag_, other.mag_);
+  }
   sign_ *= other.sign_;
   return *this;
 }

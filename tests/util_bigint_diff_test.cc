@@ -312,6 +312,38 @@ TEST(BigIntDiff, InPlaceOperatorsMatchOutOfPlace) {
   }
 }
 
+TEST(BigIntDiff, InPlaceMultiplyByUnitMatchesOutOfPlace) {
+  // operator*= short-cuts a factor of magnitude 1 on either side; the result
+  // must equal the full limb product, sign and zero included, at limb
+  // boundaries.
+  std::vector<BigInt> values = {BigInt(0), BigInt(1), BigInt(2)};
+  for (uint64_t bits : {31, 32, 33, 63, 64, 65, 95, 96, 97, 128}) {
+    values.push_back(BigInt::Pow2(bits));
+    values.push_back(BigInt::Pow2(bits) - BigInt(1));
+    values.push_back(BigInt::Pow2(bits) + BigInt(1));
+  }
+  const size_t positives = values.size();
+  for (size_t i = 0; i < positives; ++i) values.push_back(-values[i]);
+  for (const BigInt& unit : {BigInt(1), BigInt(-1)}) {
+    for (const BigInt& x : values) {
+      const std::string context = unit.ToString() + " and " + x.ToString();
+      BigInt left = unit;
+      left *= x;  // 1·x, (−1)·x, 1·0
+      EXPECT_EQ(left, unit * x) << context;
+      EXPECT_EQ(left.sign(), unit.sign() * x.sign()) << context;
+      EXPECT_EQ(left.ToString(), (unit * x).ToString()) << context;
+      BigInt right = x;
+      right *= unit;  // x·1, x·(−1), 0·1
+      EXPECT_EQ(right, x * unit) << context;
+      EXPECT_EQ(right.sign(), unit.sign() * x.sign()) << context;
+      EXPECT_EQ(right.BitLength(), x.BitLength()) << context;
+    }
+    BigInt self = unit;
+    self *= self;  // aliasing: (±1)·(±1) == 1
+    EXPECT_TRUE(self.is_one()) << unit.ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Rational canonical form
 // ---------------------------------------------------------------------------
