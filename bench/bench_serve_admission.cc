@@ -1,19 +1,20 @@
 // Predictive admission control & slack-ordered scheduling (CostModel,
 // cost_model.h; BatchExecutor::Submit, executor.h): the same oversubmitted
-// workload served three ways — degrade policy REACTIVE-ONLY (the PR-5
-// behavior: every conversion happens after a real deadline lapse), degrade
-// policy + a learned CostModel (doomed requests convert PROACTIVELY at
-// submit, skipping the exact attempt), and no-degrade + CostModel with
-// shedding (hopeless requests answer kResourceExhausted at submit instead
-// of queueing to miss). The headline counters are the proactive-conversion
-// and shed ratios per time budget, plus the per-submit overhead of the
-// prediction itself (Snapshot + PredictSolveCost + DecideAdmission).
-// NOTE: the dev container is single-core — locally these quantify the
-// decision mix, not throughput; realistic backlogs need multi-core CI.
+// workload served two ways — degrade policy REACTIVE-ONLY (every conversion
+// happens after a real deadline lapse) and degrade policy + a learned
+// CostModel (doomed requests convert PROACTIVELY at submit, skipping the
+// exact attempt) — plus a mixed tight/loose deadline mix that measures what
+// EDF ordering buys, and the per-submit overhead of the prediction itself
+// (Snapshot + PredictSolveCost + DecideAdmission). The headline counters are
+// the proactive-conversion ratio and the tight/loose miss ratios per budget.
+// Worker counts are fixed at 2, so the rows compare configurations at equal
+// parallelism; absolute ratios depend on the host's core count and load.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -75,7 +76,6 @@ DegradePolicy CheapPolicy() {
 struct OutcomeCounts {
   int64_t total = 0;
   int64_t missed = 0;    ///< DeadlineExceeded
-  int64_t shed = 0;      ///< ResourceExhausted at submit
   int64_t degraded = 0;  ///< OK with degrade provenance (either kind)
   int64_t exact = 0;     ///< OK, exact
 };
@@ -105,9 +105,6 @@ OutcomeCounts RunOversubmitted(BatchExecutor& executor, EvalSession& session,
     if (!result.ok()) {
       if (result.status().code() == Status::Code::kDeadlineExceeded) {
         ++counts.missed;
-      } else if (result.status().code() ==
-                 Status::Code::kResourceExhausted) {
-        ++counts.shed;
       }
     } else if (result->degrade.degraded) {
       ++counts.degraded;
@@ -122,7 +119,6 @@ void ReportRatios(benchmark::State& state, const OutcomeCounts& counts,
                   const ExecutorStats& stats) {
   double total = counts.total == 0 ? 1.0 : static_cast<double>(counts.total);
   state.counters["miss_ratio"] = static_cast<double>(counts.missed) / total;
-  state.counters["shed_ratio"] = static_cast<double>(counts.shed) / total;
   state.counters["degraded_ratio"] =
       static_cast<double>(counts.degraded) / total;
   state.counters["exact_ratio"] = static_cast<double>(counts.exact) / total;
@@ -142,15 +138,13 @@ ExecutorStats StatsDelta(const ExecutorStats& before,
       after.exact_solves_started - before.exact_solves_started;
   d.degraded_proactive = after.degraded_proactive - before.degraded_proactive;
   d.degraded_reactive = after.degraded_reactive - before.degraded_reactive;
-  d.shed = after.shed - before.shed;
   return d;
 }
 
 // ---------------------------------------------------------------------------
-// The headline sweep: the same workload/budget under three admission
-// configurations. ReactiveOnly is the PR-5 baseline (no model installed);
-// ProactiveModel adds a CostModel so doomed requests convert at submit;
-// Shedding drops degradation and lets the model reject hopeless requests.
+// The headline sweep: the same workload/budget under two admission
+// configurations. ReactiveOnly installs no model; ProactiveModel adds a
+// CostModel so doomed requests convert at submit.
 // ---------------------------------------------------------------------------
 
 void BM_ServeAdmissionReactiveOnly(benchmark::State& state) {
@@ -166,7 +160,6 @@ void BM_ServeAdmissionReactiveOnly(benchmark::State& state) {
                                            /*degrade=*/true);
     counts.total += round.total;
     counts.missed += round.missed;
-    counts.shed += round.shed;
     counts.degraded += round.degraded;
     counts.exact += round.exact;
   }
@@ -198,7 +191,6 @@ void BM_ServeAdmissionProactiveModel(benchmark::State& state) {
                                            /*degrade=*/true);
     counts.total += round.total;
     counts.missed += round.missed;
-    counts.shed += round.shed;
     counts.degraded += round.degraded;
     counts.exact += round.exact;
   }
@@ -213,37 +205,107 @@ BENCHMARK(BM_ServeAdmissionProactiveModel)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_ServeAdmissionShedding(benchmark::State& state) {
-  const auto budget = std::chrono::microseconds(state.range(0));
-  Corpus corpus = MakeCorpus(4, 24, 8);
-  ExecutorOptions exec_options{.threads = 2};
-  exec_options.cost_model = std::make_shared<CostModel>();
-  exec_options.enable_shedding = true;
-  BatchExecutor executor(exec_options);
-  EvalSession session(corpus.instance, ServingOptions());
-  executor.SolveBatch(session, corpus.queries);  // warm-up + model training
-  executor.SolveBatch(session, corpus.queries);
-  OutcomeCounts counts;
-  ExecutorStats before = executor.stats();
-  for (auto _ : state) {
-    // No degrade policy: a hopeless request's only graceful exit is the
-    // submit-time kResourceExhausted.
-    OutcomeCounts round = RunOversubmitted(executor, session, corpus, budget,
-                                           /*degrade=*/false);
-    counts.total += round.total;
-    counts.missed += round.missed;
-    counts.shed += round.shed;
-    counts.degraded += round.degraded;
-    counts.exact += round.exact;
+// ---------------------------------------------------------------------------
+// Mixed deadlines: what EDF ordering buys. The corpus is sent 16x over in a
+// fixed shuffled order, half the requests with a TIGHT deadline at
+// range(0)% of the calibrated drain time T of the same batch without
+// deadlines, half with a LOOSE one at 3T. No model and no degrade policy:
+// plain EDF, and every miss is a DeadlineExceeded. EDF serves the tight
+// half first, so tight_miss_ratio is the number to watch; a FIFO dispatch
+// would leave tight requests queued behind loose ones.
+// ---------------------------------------------------------------------------
+
+/// One request of the mixed-deadline batch: a corpus query and its
+/// deadline class.
+struct MixedSlot {
+  size_t query = 0;
+  bool tight = false;
+};
+
+/// Submits one request per slot, with deadline `deadline_of(slot)` (none
+/// when it returns nullopt), and waits for every ticket.
+template <class DeadlineOf>
+std::vector<Result<SolveResult>> SubmitAndTake(
+    BatchExecutor& executor, EvalSession& session, const Corpus& corpus,
+    const std::vector<MixedSlot>& slots, DeadlineOf deadline_of) {
+  std::vector<SolveTicket> tickets;
+  tickets.reserve(slots.size());
+  for (const MixedSlot& slot : slots) {
+    SolveRequest request =
+        SolveRequest::BorrowQuery(corpus.queries[slot.query]);
+    if (std::optional<RequestClock::time_point> d = deadline_of(slot)) {
+      request.WithDeadline(*d);
+    }
+    tickets.push_back(executor.Submit(session, std::move(request)));
   }
-  state.SetItemsProcessed(counts.total);
-  ReportRatios(state, counts, StatsDelta(before, executor.stats()));
-  // shed requests consume a Submit call but never a worker slot: under
-  // tight budgets shed_ratio + miss_ratio covers what ReactiveOnly
-  // reported purely as misses, at a fraction of the queue churn.
+  return BatchExecutor::Collect(tickets);
 }
-BENCHMARK(BM_ServeAdmissionShedding)
-    ->Arg(50)->Arg(1000)->Arg(100000)
+
+void BM_ServeAdmissionMixedDeadlines(benchmark::State& state) {
+  constexpr size_t kOversubmit = 16;
+  Corpus corpus = MakeCorpus(4, 24, 8);
+  BatchExecutor executor(ExecutorOptions{.threads = 2});
+  EvalSession session(corpus.instance, ServingOptions());
+  executor.SolveBatch(session, corpus.queries);  // warm the context cache
+
+  std::vector<MixedSlot> slots;
+  for (size_t round = 0; round < kOversubmit; ++round) {
+    for (size_t q = 0; q < corpus.queries.size(); ++q) {
+      slots.push_back(MixedSlot{q, round % 2 == 0});
+    }
+  }
+  // One fixed shuffle for every iteration and every budget, so the rows
+  // differ only in the tight deadline.
+  Rng rng(20260519);
+  for (size_t i = slots.size(); i-- > 1;) {
+    std::swap(slots[i], slots[static_cast<size_t>(rng.UniformInt(0, i))]);
+  }
+
+  // Calibrate T: the median drain time of the batch without deadlines.
+  auto no_deadline = [](const MixedSlot&) {
+    return std::optional<RequestClock::time_point>();
+  };
+  std::vector<RequestClock::duration> drains;
+  for (int run = 0; run < 5; ++run) {
+    const RequestClock::time_point start = RequestClock::now();
+    SubmitAndTake(executor, session, corpus, slots, no_deadline);
+    drains.push_back(RequestClock::now() - start);
+  }
+  std::sort(drains.begin(), drains.end());
+  const RequestClock::duration drain = drains[drains.size() / 2];
+  const RequestClock::duration tight_budget = drain * state.range(0) / 100;
+  const RequestClock::duration loose_budget = drain * 3;
+
+  // Indexed by MixedSlot::tight: [0] loose, [1] tight.
+  int64_t total[2] = {0, 0};
+  int64_t missed[2] = {0, 0};
+  for (auto _ : state) {
+    const RequestClock::time_point start = RequestClock::now();
+    std::vector<Result<SolveResult>> results = SubmitAndTake(
+        executor, session, corpus, slots, [&](const MixedSlot& slot) {
+          return std::optional<RequestClock::time_point>(
+              start + (slot.tight ? tight_budget : loose_budget));
+        });
+    for (size_t i = 0; i < results.size(); ++i) {
+      ++total[slots[i].tight];
+      if (!results[i].ok() &&
+          results[i].status().code() == Status::Code::kDeadlineExceeded) {
+        ++missed[slots[i].tight];
+      }
+    }
+  }
+  state.SetItemsProcessed(total[0] + total[1]);
+  auto ratio = [](int64_t part, int64_t whole) {
+    return static_cast<double>(part) /
+           static_cast<double>(std::max<int64_t>(1, whole));
+  };
+  state.counters["tight_miss_ratio"] = ratio(missed[1], total[1]);
+  state.counters["loose_miss_ratio"] = ratio(missed[0], total[0]);
+  state.counters["drain_ms"] =
+      std::chrono::duration<double, std::milli>(drain).count();
+}
+BENCHMARK(BM_ServeAdmissionMixedDeadlines)
+    ->Arg(25)->Arg(50)->Arg(75)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -1,6 +1,8 @@
 #include "src/core/algo_polytree.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <unordered_map>
 
 #include "src/automata/binary_encoding.h"
@@ -19,6 +21,13 @@ namespace {
 /// 10 alternated pairs, 4-core x86-64) the dense table served 18033 rps
 /// against 14482 with the hash map alone (10/10 pairs, hash-only IQR 1786).
 constexpr uint64_t kMaxDenseStates = 4096;
+
+/// The longest path the automaton can test: LongestRunAutomaton numbers its
+/// (m + 1)^3 states with uint32_t ids, which wrap from m = 1625 on.
+constexpr uint32_t kMaxPathLength = 1624;
+static_assert(uint64_t{kMaxPathLength + 1} * (kMaxPathLength + 1) *
+                  (kMaxPathLength + 1) <=
+              UINT32_MAX);
 
 /// state -> 1 + its slot among the states reached at the current node
 /// (0: not reached yet).
@@ -179,6 +188,12 @@ Result<Num> SolvePathProbabilityOnPolytreeT(uint32_t m,
   using Ops = NumericOps<Num>;
   if (m == 0) return Ops::One();
   if (component.num_edges() == 0) return Ops::Zero();
+  if (m > kMaxPathLength) {
+    return Status::Invalid(
+        "polytree solver: path length " + std::to_string(m) +
+        " exceeds the automaton's 32-bit state ids (m <= " +
+        std::to_string(kMaxPathLength) + ")");
+  }
   PHOM_ASSIGN_OR_RETURN(EncodedPolytree tree, EncodePolytree(component));
   return RunProbability<Num>(m, tree, stats);
 }

@@ -41,7 +41,9 @@ struct PolytreeStats {
 
 /// Pr(the world contains a directed path of m >= 1 edges) for a single
 /// polytree component, in the numeric backend of `Num`. Status::Invalid if
-/// `component` is not a polytree (EncodePolytree's check).
+/// `component` is not a polytree (EncodePolytree's check), or if it has
+/// edges and m > 1624, past which the automaton's (m + 1)^3 state ids no
+/// longer fit in 32 bits.
 template <class Num>
 Result<Num> SolvePathProbabilityOnPolytreeT(uint32_t m,
                                             const ProbGraph& component,

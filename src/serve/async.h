@@ -74,13 +74,6 @@ struct RequestState {
   /// which keep FIFO order among themselves.
   bool has_effective_deadline = false;
   RequestClock::time_point effective_deadline{};
-  /// Admission-control bookkeeping, guarded by the executor's admission
-  /// mutex: the predicted nanoseconds charged to the pool's backlog and the
-  /// deadline registered in its pending set. Both are released exactly once,
-  /// when the request finishes.
-  int64_t charged_backlog_ns = 0;
-  bool deadline_registered = false;
-  RequestClock::time_point registered_deadline{};
 
   // --- Component fan-out (same discipline as PR 3's BatchState: each part
   // slot is written by exactly one task; the last finisher's acq_rel

@@ -24,7 +24,7 @@ bool IsEnumerationEngine(std::string_view engine) {
 
 std::chrono::nanoseconds ClampNonNegative(double ns) {
   if (!(ns > 0.0)) return std::chrono::nanoseconds(0);
-  const double cap = 9.0e18;  // stay clear of int64 overflow
+  const double cap = static_cast<double>(kMaxPredictedCost.count());
   return std::chrono::nanoseconds(
       static_cast<int64_t>(std::min(ns, cap)));
 }
@@ -53,7 +53,11 @@ std::chrono::nanoseconds PriorComponentCost(std::string_view engine,
     const uint64_t shift = std::min<uint64_t>(u, 40);
     return std::chrono::nanoseconds(int64_t{2000} << shift);
   }
-  return std::chrono::nanoseconds(20'000 + 2'000 * static_cast<int64_t>(u));
+  // Capped so the linear prior stays within kMaxPredictedCost: an imported
+  // snapshot's bucket 64 asks for the prior at u = 2^63.
+  const uint64_t max_u = (kMaxPredictedCost.count() - 20'000) / 2'000;
+  return std::chrono::nanoseconds(
+      20'000 + 2'000 * static_cast<int64_t>(std::min(u, max_u)));
 }
 
 CostPrediction CostModelSnapshot::PredictComponent(
@@ -279,6 +283,18 @@ struct SnapshotCursor {
     }
     return value;
   }
+  /// An observation count: an exact integer in [0, 2^53], the range where
+  /// every integer is a double — so the uint64_t conversion is defined and
+  /// the count re-exports exactly.
+  Result<uint64_t> ParseCount(const std::string& field) {
+    PHOM_ASSIGN_OR_RETURN(double count, ParseNumber());
+    if (!(count >= 0.0 && count <= 9007199254740992.0) ||
+        count != std::floor(count)) {
+      return Status::Invalid("cost-model snapshot: bad " + field + " " +
+                             ExactDouble(count));
+    }
+    return static_cast<uint64_t>(count);
+  }
 };
 
 /// One parsed snapshot record, kept free of CostModelSnapshot's private
@@ -357,23 +373,14 @@ Result<std::vector<ParsedCell>> ParseSnapshotJson(std::string_view json) {
             PHOM_ASSIGN_OR_RETURN(cell.dev_ns, c.ParseNumber());
             have_dev = true;
           } else if (name == "count") {
-            PHOM_ASSIGN_OR_RETURN(double count, c.ParseNumber());
-            if (count < 0.0 || count != std::floor(count)) {
-              return Status::Invalid("cost-model snapshot: bad count " +
-                                     ExactDouble(count));
-            }
-            cell.count = static_cast<uint64_t>(count);
+            PHOM_ASSIGN_OR_RETURN(cell.count, c.ParseCount("count"));
             have_count = true;
           } else if (name == "width_mean") {
             // Legacy (with width_count below): older snapshots carried a
             // per-cell enclosure-width EWMA. Validated, then discarded.
             PHOM_RETURN_NOT_OK(c.ParseNumber().status());
           } else if (name == "width_count") {
-            PHOM_ASSIGN_OR_RETURN(double wcount, c.ParseNumber());
-            if (wcount < 0.0 || wcount != std::floor(wcount)) {
-              return Status::Invalid("cost-model snapshot: bad width_count " +
-                                     ExactDouble(wcount));
-            }
+            PHOM_RETURN_NOT_OK(c.ParseCount("width_count").status());
           } else {
             return Status::Invalid("cost-model snapshot: unknown cell field '" +
                                    name + "'");
@@ -522,9 +529,9 @@ AdmissionDecision DecideAdmission(
     // the same cells under the same engine, so its cost is the prediction
     // itself — doubled expected/pessimistic edges, optimistic untouched
     // (best case the enclosure is tight and no re-run happens).
-    const CostPrediction rerun = decision.predicted;
-    decision.predicted.expected += rerun.expected;
-    decision.predicted.pessimistic += rerun.pessimistic;
+    CostPrediction& p = decision.predicted;
+    p.expected = SaturatingCostSum(p.expected, p.expected);
+    p.pessimistic = SaturatingCostSum(p.pessimistic, p.pessimistic);
   }
   if (!remaining_budget.has_value()) return decision;
   if (options.degrade.mode == DegradeMode::kOnDeadlineRisk &&

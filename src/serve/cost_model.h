@@ -54,6 +54,18 @@ struct CostModelOptions {
   double prior_band_factor = 8.0;
 };
 
+/// Upper bound of every predicted latency (~285 years): cells clamp to it,
+/// and sums of predictions saturate at it instead of overflowing int64 — an
+/// imported snapshot may carry any finite mean.
+inline constexpr std::chrono::nanoseconds kMaxPredictedCost{
+    9'000'000'000'000'000'000};
+
+/// a + b for predictions in [0, kMaxPredictedCost], saturating at the cap.
+inline std::chrono::nanoseconds SaturatingCostSum(std::chrono::nanoseconds a,
+                                                  std::chrono::nanoseconds b) {
+  return b > kMaxPredictedCost - a ? kMaxPredictedCost : a + b;
+}
+
 /// A predicted exact-solve latency with its uncertainty band
 /// (optimistic <= expected <= pessimistic).
 struct CostPrediction {
@@ -64,9 +76,9 @@ struct CostPrediction {
   bool from_prior = false;
 
   CostPrediction& operator+=(const CostPrediction& other) {
-    expected += other.expected;
-    optimistic += other.optimistic;
-    pessimistic += other.pessimistic;
+    expected = SaturatingCostSum(expected, other.expected);
+    optimistic = SaturatingCostSum(optimistic, other.optimistic);
+    pessimistic = SaturatingCostSum(pessimistic, other.pessimistic);
     from_prior = from_prior || other.from_prior;
     return *this;
   }

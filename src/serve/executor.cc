@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -51,16 +52,10 @@ BatchExecutor::BatchExecutor(ExecutorOptions options)
     : options_(std::move(options)),
       injection_(options_.queue_capacity) {
   const size_t n = ResolveThreads(options_);
-  // Per-worker EDF heap bound: the historical GLOBAL bound (the queue
-  // capacity) split across workers, so total queued deadline work keeps the
-  // same memory bound — and with one worker the heap is exactly the old
-  // global heap (same capacity, same displace threshold).
-  const size_t heap_capacity =
-      std::max<size_t>(1, injection_.capacity() / n);
   worker_state_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     worker_state_.push_back(std::make_unique<Worker>(
-        options_.steal_deque_capacity, heap_capacity,
+        options_.steal_deque_capacity,
         options_.steal_seed ^ static_cast<uint64_t>(i)));
   }
   workers_.reserve(n);
@@ -74,8 +69,8 @@ BatchExecutor::~BatchExecutor() {
   // flight is UB"): run queued tasks on this thread and wait out workers'
   // in-flight ones, so every outstanding ticket completes — and no task can
   // touch the dying pool — before the workers are stopped. The shared pop
-  // sweeps every worker's heap and deque, so a parked worker cannot strand
-  // its queued tasks.
+  // takes the EDF heap and sweeps every worker's deque, so a parked worker
+  // cannot strand queued tasks.
   Task task;
   while (!AllRequestsFinished()) {
     if (TryPopTaskShared(&task)) {
@@ -114,38 +109,23 @@ void BatchExecutor::NotifyAll() {
 
 void BatchExecutor::EnqueueTask(Task task) {
   if (task.request->has_effective_deadline) {
-    // Slack-ordered lane: route to the least-loaded worker's EDF heap
-    // (ties break to the lowest index, so one worker degenerates to the
-    // historical single global heap).
-    size_t best = 0;
-    size_t best_load = static_cast<size_t>(-1);
-    for (size_t i = 0; i < worker_state_.size(); ++i) {
-      const Worker& w = *worker_state_[i];
-      const size_t load =
-          w.edf_size.load(std::memory_order_relaxed) + w.deque.SizeApprox();
-      if (load < best_load) {
-        best_load = load;
-        best = i;
-      }
-    }
-    Worker& w = *worker_state_[best];
     std::optional<Task> displaced;
     {
-      std::lock_guard<std::mutex> lock(w.edf_mu);
-      w.edf_heap.push(DeadlineEntry{task.request->effective_deadline,
-                                    w.edf_seq++, std::move(task)});
-      if (w.edf_heap.size() > w.heap_capacity) {
+      std::lock_guard<std::mutex> lock(edf_mu_);
+      edf_heap_.push(DeadlineEntry{task.request->effective_deadline,
+                                   edf_seq_++, std::move(task)});
+      if (edf_heap_.size() > injection_.capacity()) {
         // Overflow: displace and run the EARLIEST entry inline — which may
         // or may not be the incoming task. (Running the INCOMING task
         // inline, as the pre-rebuild code did, silently bypassed slack
         // ordering whenever the newcomer's deadline was not the earliest.)
         displaced =
-            std::move(const_cast<DeadlineEntry&>(w.edf_heap.top()).task);
-        w.edf_heap.pop();
+            std::move(const_cast<DeadlineEntry&>(edf_heap_.top()).task);
+        edf_heap_.pop();
       }
-      w.edf_size.store(w.edf_heap.size(), std::memory_order_relaxed);
+      edf_size_.store(edf_heap_.size(), std::memory_order_relaxed);
     }
-    NotifyAll();
+    NotifyOne();
     if (displaced.has_value()) {
       edf_displaced_.fetch_add(1, std::memory_order_relaxed);
       RunTask(*displaced);
@@ -162,18 +142,17 @@ void BatchExecutor::EnqueueTask(Task task) {
   RunTask(task);
 }
 
-bool BatchExecutor::PopEdf(Worker& w, Task* out) {
-  // Lock-free emptiness probe first: the steal sweep touches every victim's
-  // heap, and an uncontended-mutex round trip per victim would put the lock
-  // back on the idle path the deques just took it off of.
-  if (w.edf_size.load(std::memory_order_relaxed) == 0) return false;
-  std::lock_guard<std::mutex> lock(w.edf_mu);
-  if (w.edf_heap.empty()) return false;
+bool BatchExecutor::PopEdf(Task* out) {
+  // Lock-free emptiness probe first: with no deadline work queued, idle
+  // workers and helpers never touch edf_mu_.
+  if (edf_size_.load(std::memory_order_relaxed) == 0) return false;
+  std::lock_guard<std::mutex> lock(edf_mu_);
+  if (edf_heap_.empty()) return false;
   // priority_queue::top is const; moving the task out is safe because the
   // entry is popped before the lock is released.
-  *out = std::move(const_cast<DeadlineEntry&>(w.edf_heap.top()).task);
-  w.edf_heap.pop();
-  w.edf_size.store(w.edf_heap.size(), std::memory_order_relaxed);
+  *out = std::move(const_cast<DeadlineEntry&>(edf_heap_.top()).task);
+  edf_heap_.pop();
+  edf_size_.store(edf_heap_.size(), std::memory_order_relaxed);
   return true;
 }
 
@@ -187,25 +166,20 @@ bool BatchExecutor::TryPopTaskWorker(size_t self, Task* out) {
     *out = std::move(*node);
     return true;
   }
-  if (PopEdf(me, out)) return true;
+  if (PopEdf(out)) return true;
   if (injection_.TryPop(out)) return true;
   const size_t n = worker_state_.size();
   if (n <= 1) return false;
-  // Steal from a randomized victim: deque top (the victim's OLDEST task)
-  // first, then the victim's EDF heap. The random start decorrelates
-  // thieves; the full rotation guarantees any available task is found.
+  // Steal the top (the victim's OLDEST task) of a randomized victim's deque.
+  // The random start decorrelates thieves; the full rotation guarantees any
+  // available task is found.
   const size_t start = static_cast<size_t>(me.rng());
   for (size_t k = 0; k < n; ++k) {
     const size_t v = (start + k) % n;
     if (v == self) continue;
-    Worker& victim = *worker_state_[v];
-    if (victim.deque.TrySteal(&node)) {
+    if (worker_state_[v]->deque.TrySteal(&node)) {
       tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
       *out = std::move(*node);
-      return true;
-    }
-    if (PopEdf(victim, out)) {
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -217,13 +191,11 @@ bool BatchExecutor::TryPopTaskShared(Task* out) {
   // historical helper order: heap, then FIFO), then the shared queue, then
   // a sweep of the worker deques so a parked worker cannot strand tasks.
   // The rotating start spreads concurrent helpers across workers.
+  if (PopEdf(out)) return true;
+  if (injection_.TryPop(out)) return true;
   const size_t n = worker_state_.size();
   const size_t start = static_cast<size_t>(
       shared_sweep_.fetch_add(1, std::memory_order_relaxed));
-  for (size_t k = 0; k < n; ++k) {
-    if (PopEdf(*worker_state_[(start + k) % n], out)) return true;
-  }
-  if (injection_.TryPop(out)) return true;
   std::unique_ptr<Task> node;
   for (size_t k = 0; k < n; ++k) {
     if (worker_state_[(start + k) % n]->deque.TrySteal(&node)) {
@@ -238,19 +210,6 @@ void BatchExecutor::Finish(
     const std::shared_ptr<internal::RequestState>& request,
     Result<SolveResult> result) {
   internal::RequestState& req = *request;
-  // Release the admission bookkeeping exactly once: refund the predicted
-  // backlog charge and withdraw this request's deadline from the pending
-  // set (Finish runs once per request, so no double release).
-  if (req.charged_backlog_ns != 0 || req.deadline_registered) {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    backlog_ns_ -= req.charged_backlog_ns;
-    req.charged_backlog_ns = 0;
-    if (req.deadline_registered) {
-      auto it = pending_deadlines_.find(req.registered_deadline);
-      if (it != pending_deadlines_.end()) pending_deadlines_.erase(it);
-      req.deadline_registered = false;
-    }
-  }
   CompletionCallback callback;
   {
     std::lock_guard<std::mutex> lock(req.mu);
@@ -367,12 +326,12 @@ void BatchExecutor::MaybeEscalate(internal::RequestState& req,
   SolveOptions opts = req.options;
   opts.numeric = NumericBackend::kExact;
   opts.escalate = EscalationPolicy{};  // the re-run must not re-trigger
-  if (options_.cost_model != nullptr && req.deadline_registered) {
+  if (options_.cost_model != nullptr && req.cancel.has_deadline()) {
     const std::shared_ptr<const CostModelSnapshot> snapshot =
         options_.cost_model->Snapshot();
     const CostPrediction rerun =
         snapshot->PredictSolveCost(req.prepared, req.dispatch, opts);
-    if (RequestClock::now() + rerun.expected > req.registered_deadline) {
+    if (RequestClock::now() + rerun.expected > req.cancel.deadline()) {
       escalated_budget_denied_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -585,42 +544,12 @@ void BatchExecutor::MarkExactStarted(internal::RequestState& req) {
   }
 }
 
-void BatchExecutor::ChargeAdmission(
-    internal::RequestState& req, std::chrono::nanoseconds predicted,
-    const std::optional<RequestClock::time_point>& deadline) {
-  std::lock_guard<std::mutex> lock(admission_mu_);
-  req.charged_backlog_ns = predicted.count();
-  backlog_ns_ += req.charged_backlog_ns;
-  if (deadline.has_value()) {
-    req.deadline_registered = true;
-    req.registered_deadline = *deadline;
-    pending_deadlines_.insert(*deadline);
-  }
-}
-
-bool BatchExecutor::PredictedBacklogHopeless(RequestClock::time_point deadline,
-                                             RequestClock::time_point now) {
-  const int64_t threads =
-      static_cast<int64_t>(workers_.empty() ? 1 : workers_.size());
-  std::lock_guard<std::mutex> lock(admission_mu_);
-  // Optimistic drain estimate: the charged backlog split evenly across the
-  // workers. Optimism is deliberate — shedding must only fire when the
-  // request is hopeless under the BEST case.
-  const std::chrono::nanoseconds wait(backlog_ns_ / threads);
-  const RequestClock::time_point clears = now + wait;
-  if (clears <= deadline) return false;
-  // Hopeless only when the backlog also outlives the LATEST pending
-  // deadline (thus every pending deadline).
-  return pending_deadlines_.empty() || clears > *pending_deadlines_.rbegin();
-}
-
 ExecutorStats BatchExecutor::stats() const {
   ExecutorStats s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.exact_solves_started = exact_started_.load(std::memory_order_relaxed);
   s.degraded_proactive = degraded_proactive_.load(std::memory_order_relaxed);
   s.degraded_reactive = degraded_reactive_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
   s.tasks_stolen = tasks_stolen_.load(std::memory_order_relaxed);
   s.inline_runs = inline_runs_.load(std::memory_order_relaxed);
   s.edf_displaced_runs = edf_displaced_.load(std::memory_order_relaxed);
@@ -696,26 +625,6 @@ SolveTicket BatchExecutor::Submit(EvalSession& session, SolveRequest request,
     Finish(state, gate);
     return ticket;
   }
-  // Shedding gate (before any preparation — a shed request never touches
-  // the session): a deadline-carrying request that cannot degrade is
-  // rejected when the predicted backlog is hopeless against every pending
-  // deadline, its own included. Degradable requests fall through to the
-  // proactive path below instead — an estimate beats an error.
-  if (options_.enable_shedding && options_.cost_model != nullptr &&
-      request.deadline.has_value() &&
-      state->options.degrade.mode == DegradeMode::kOff &&
-      PredictedBacklogHopeless(*request.deadline, state->stats.enqueued)) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->stats.shed = true;
-    }
-    Finish(state,
-           Status::ResourceExhausted(
-               "serve: request shed at admission (predicted backlog exceeds "
-               "every pending deadline)"));
-    return ticket;
-  }
   try {
     // Preparation runs on the submitting thread: it is the cheap, cached
     // half of a solve, and doing it here fixes the context-cache population
@@ -748,7 +657,6 @@ SolveTicket BatchExecutor::Submit(EvalSession& session, SolveRequest request,
         std::lock_guard<std::mutex> lock(state->mu);
         state->stats.predicted_cost = decision.predicted.expected;
       }
-      ChargeAdmission(*state, decision.predicted.expected, request.deadline);
       if (request.deadline.has_value()) {
         state->has_effective_deadline = true;
         state->effective_deadline =

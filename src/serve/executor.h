@@ -7,10 +7,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <random>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -40,24 +38,24 @@
 ///     injection queue (the Vyukov MpmcQueue, mpmc_queue.h), so their roots
 ///     dispatch in arrival order. It is also the overflow lane for full
 ///     worker deques and the fan-out lane of non-worker threads.
-///   * Deadline-carrying requests route to the LEAST-LOADED worker's
-///     bounded EDF heap (earliest effective deadline = deadline − predicted
-///     cost, PR 6 semantics). With one worker every deadline task shares one
-///     heap, i.e. exact global EDF; with several workers EDF is per-worker
-///     and stealing keeps it work-conserving.
+///   * Deadline-carrying requests enter ONE executor-wide EDF heap under
+///     one mutex (earliest effective deadline first; effective = deadline −
+///     predicted cost, see PREDICTIVE ADMISSION below), so every worker and
+///     helper pops the globally earliest deadline at every thread count.
 ///   * Worker pop order: own deque (finish the request you started — this
 ///     keeps a fanned-out request's completion ahead of later-arriving
-///     deadline roots), own EDF heap, injection queue, then steal (victim
-///     deque top first, then victim EDF heap). Non-worker helpers (the
-///     collect-helping path and the draining destructor) pop injection
-///     first, then sweep every worker's heap and deque, so progress never
+///     deadline roots), the EDF heap, injection queue, then steal the top
+///     of a randomized victim's deque. Non-worker helpers (the
+///     collect-helping path and the draining destructor) pop the EDF heap,
+///     then injection, then sweep every worker's deque, so progress never
 ///     depends on a parked worker.
-///   * EDF heap overflow runs the EARLIEST entry inline on the submitter
-///     after inserting the incoming task (the pre-rebuild code ran the
-///     INCOMING task inline, silently bypassing slack ordering — that bug is
-///     fixed; ExecutorStats::edf_displaced_runs counts the event). The
-///     injection queue keeps the historical policy: full ⇒ the submitted
-///     task itself runs inline.
+///   * EDF heap overflow (past the queue_capacity bound) runs the
+///     EARLIEST entry inline on the submitter after inserting the incoming
+///     task (the pre-rebuild code ran the INCOMING task inline, silently
+///     bypassing slack ordering — that bug is fixed;
+///     ExecutorStats::edf_displaced_runs counts the event). The injection
+///     queue keeps the historical policy: full ⇒ the submitted task itself
+///     runs inline.
 ///
 /// The front door is ASYNCHRONOUS: Submit accepts a SolveRequest
 /// (request.h) and returns a SolveTicket (async.h) immediately — the
@@ -95,13 +93,9 @@
 ///     the remaining budget — even optimistically — is degraded
 ///     PROACTIVELY when its DegradePolicy allows: the exact attempt is
 ///     skipped entirely and the estimate carries DegradeInfo::proactive;
-///   * with enable_shedding, a deadline-carrying request that cannot
-///     degrade is REJECTED with kResourceExhausted at submit (before any
-///     preparation) when the predicted backlog exceeds the remaining slack
-///     of every pending deadline, its own included;
 ///   * deadline-carrying tasks dispatch earliest-effective-deadline-first
-///     through the per-worker EDF heaps described above; with no deadlines
-///     set the heaps stay empty and dispatch is the deque/injection path
+///     through the EDF heap described above; with no deadlines set the
+///     heap stays empty and dispatch is the deque/injection path
 ///     (bit-identical results at every thread count).
 /// Every completed exact solve is recorded back into the model, so
 /// predictions sharpen as the pool serves.
@@ -132,10 +126,10 @@
 ///
 /// The pool is shared infrastructure: several threads may Submit / solve
 /// concurrently. Destroying the executor DRAINS it: the destructor runs
-/// queued tasks itself (sweeping every worker's deque and heap) and waits
-/// for workers' in-flight tasks, so every outstanding ticket completes
-/// before the pool is torn down. Sessions named by outstanding requests
-/// must outlive the destructor call, and no thread may Submit once
+/// queued tasks itself (the EDF heap, injection and every worker's deque)
+/// and waits for workers' in-flight tasks, so every outstanding ticket
+/// completes before the pool is torn down. Sessions named by outstanding
+/// requests must outlive the destructor call, and no thread may Submit once
 /// destruction has begun — join your submitting threads first.
 
 namespace phom::serve {
@@ -146,9 +140,9 @@ struct ExecutorOptions {
   /// Injection-queue capacity (rounded up to a power of two, minimum 2).
   /// When the queue is full, the submitter runs the task inline instead of
   /// blocking — the queue bounds memory, not correctness (Submit may
-  /// therefore block on a saturated pool: natural backpressure). Also sizes
-  /// the per-worker EDF heaps: each holds up to queue_capacity / threads
-  /// entries before the displace-inline overflow policy fires.
+  /// therefore block on a saturated pool: natural backpressure). The EDF
+  /// heap holds up to the same (rounded) number of entries before the
+  /// displace-inline overflow policy fires.
   size_t queue_capacity = 1024;
   /// Fan the independent instance components of a componentwise dispatch
   /// out as separate tasks (within-query parallelism). Off = one task per
@@ -156,22 +150,13 @@ struct ExecutorOptions {
   bool split_components = true;
   /// Learned latency model (cost_model.h) consulted once per Submit via an
   /// immutable snapshot: predictions set the slack-ordering effective
-  /// deadline, drive PROACTIVE degradation, and feed the shedding check
-  /// below; completed exact solves are recorded back. Null (the default)
-  /// disables prediction entirely — admission and provenance are then
-  /// unchanged from the pre-cost-model executor. To warm-start from a
-  /// persisted snapshot, call CostModel::ImportSnapshotJson(json, decay) on
-  /// the model (it returns a Result) before handing it over.
+  /// deadline and drive PROACTIVE degradation; completed exact solves are
+  /// recorded back. Null (the default) disables prediction entirely —
+  /// admission and provenance are then unchanged from the pre-cost-model
+  /// executor. To warm-start from a persisted snapshot, call
+  /// CostModel::ImportSnapshotJson(json, decay) on the model (it returns a
+  /// Result) before handing it over.
   std::shared_ptr<CostModel> cost_model = nullptr;
-  /// With a cost model installed: reject a deadline-carrying request at
-  /// submit (kResourceExhausted, nothing prepared, the session untouched)
-  /// when the predicted backlog exceeds the remaining slack of EVERY
-  /// pending deadline including the incoming request's own — the request is
-  /// predicted hopeless no matter how the queue is ordered. Requests whose
-  /// DegradePolicy allows degradation are degraded proactively instead of
-  /// shed (an estimate beats an error); deadline-less requests are never
-  /// shed.
-  bool enable_shedding = false;
   /// Per-worker deque capacity (rounded up to a power of two, minimum 2).
   /// A full deque overflows into the injection queue, then inline.
   size_t steal_deque_capacity = 256;
@@ -196,9 +181,8 @@ struct ExecutorStats {
   uint64_t exact_solves_started = 0; ///< requests whose exact solve began
   uint64_t degraded_proactive = 0;   ///< exact attempt skipped at admission
   uint64_t degraded_reactive = 0;    ///< converted after a real deadline miss
-  uint64_t shed = 0;                 ///< rejected kResourceExhausted at submit
   uint64_t tasks_stolen = 0;         ///< tasks taken from another worker's
-                                     ///< deque or EDF heap
+                                     ///< deque
   uint64_t inline_runs = 0;          ///< tasks run on a non-worker thread
                                      ///< because a queue/deque was full
   uint64_t edf_displaced_runs = 0;   ///< EDF overflow: earliest entry run
@@ -321,8 +305,8 @@ class BatchExecutor {
     int32_t component = -1;
   };
 
-  /// One entry of a worker's EDF heap: min-heap on (effective deadline,
-  /// arrival sequence) — the tiebreak keeps equal-deadline tasks FIFO.
+  /// One entry of the EDF heap: min-heap on (effective deadline, arrival
+  /// sequence) — the tiebreak keeps equal-deadline tasks FIFO.
   struct DeadlineEntry {
     RequestClock::time_point effective;
     uint64_t seq = 0;
@@ -336,20 +320,11 @@ class BatchExecutor {
   };
 
   /// Per-worker scheduling state. Heap-pinned (unique_ptr in the vector):
-  /// the deque and mutex must not move while threads hold references.
+  /// the deque must not move while threads hold references.
   struct Worker {
-    Worker(size_t deque_capacity, size_t heap_capacity, uint64_t seed)
-        : deque(deque_capacity), heap_capacity(heap_capacity), rng(seed) {}
+    Worker(size_t deque_capacity, uint64_t seed)
+        : deque(deque_capacity), rng(seed) {}
     WorkStealDeque<Task> deque;
-    const size_t heap_capacity;
-    std::mutex edf_mu;
-    std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
-                        LaterDeadline>
-        edf_heap;          ///< guarded by edf_mu
-    uint64_t edf_seq = 0;  ///< guarded by edf_mu
-    /// Lock-free mirrors of the heap size / a load probe for least-loaded
-    /// routing and cheap emptiness checks (never used for correctness).
-    std::atomic<size_t> edf_size{0};
     /// Victim-selection RNG; touched ONLY by the owning worker thread.
     std::mt19937_64 rng;
   };
@@ -357,12 +332,12 @@ class BatchExecutor {
   static constexpr size_t kNoWorker = static_cast<size_t>(-1);
 
   void EnqueueTask(Task task);
-  /// Worker pop: own deque → own EDF heap → injection → steal.
+  /// Worker pop: own deque → EDF heap → injection → steal a victim's deque.
   bool TryPopTaskWorker(size_t self, Task* out);
-  /// Helper pop (collect-helping, destructor): injection → every worker's
-  /// heap and deque.
+  /// Helper pop (collect-helping, destructor): EDF heap → injection →
+  /// every worker's deque.
   bool TryPopTaskShared(Task* out);
-  bool PopEdf(Worker& w, Task* out);
+  bool PopEdf(Task* out);
   void RunTask(const Task& task, size_t self = kNoWorker);
   /// Spawns the component tasks of a fan-out root at the dequeuing thread:
   /// workers push to their own deque (overflow → injection → inline),
@@ -390,16 +365,6 @@ class BatchExecutor {
   void NotifyAll();
   /// Marks the request's first exact solving work (counter bump, once).
   void MarkExactStarted(internal::RequestState& req);
-  /// Charges the request's predicted cost to the backlog and registers its
-  /// deadline in the pending set (admission bookkeeping; refunded in
-  /// Finish).
-  void ChargeAdmission(internal::RequestState& req,
-                       std::chrono::nanoseconds predicted,
-                       const std::optional<RequestClock::time_point>& deadline);
-  /// The shedding predicate: predicted backlog drain time exceeds the
-  /// remaining slack of every pending deadline AND of `deadline` itself.
-  bool PredictedBacklogHopeless(RequestClock::time_point deadline,
-                                RequestClock::time_point now);
 
   ExecutorOptions options_;
   /// Deadline-less lane: strict-FIFO Vyukov MPMC (mpmc_queue.h). Also the
@@ -412,17 +377,22 @@ class BatchExecutor {
   std::mutex finish_mu_;
   std::condition_variable finish_cv_;
   size_t outstanding_ = 0;  ///< submitted, not yet finished; guarded by finish_mu_
-  /// Admission-control state: predicted-but-unfinished work charged to the
-  /// pool and the deadlines of in-flight requests.
-  std::mutex admission_mu_;
-  int64_t backlog_ns_ = 0;  ///< guarded by admission_mu_
-  std::multiset<RequestClock::time_point>
-      pending_deadlines_;   ///< guarded by admission_mu_
-  std::atomic<uint64_t> submitted_{0};
+  /// Deadline lane: one EDF heap for the whole executor, bounded by the
+  /// injection queue's capacity (EnqueueTask's displace-inline overflow).
+  std::mutex edf_mu_;
+  std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
+                      LaterDeadline>
+      edf_heap_;          ///< guarded by edf_mu_
+  uint64_t edf_seq_ = 0;  ///< guarded by edf_mu_
+  /// Relaxed mirror of edf_heap_.size(): the pop paths probe it before
+  /// taking edf_mu_, so idle workers do not serialize on an empty heap. On
+  /// a cache line of its own: every pop reads it, and the completion state
+  /// above and counters below are written on every request.
+  alignas(kCacheLine) std::atomic<size_t> edf_size_{0};
+  alignas(kCacheLine) std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> exact_started_{0};
   std::atomic<uint64_t> degraded_proactive_{0};
   std::atomic<uint64_t> degraded_reactive_{0};
-  std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> tasks_stolen_{0};
   std::atomic<uint64_t> inline_runs_{0};
   std::atomic<uint64_t> edf_displaced_{0};

@@ -174,13 +174,9 @@ struct RequestStats {
   /// was re-run under the exact backend; the published answer is the exact
   /// one and carries SolveResult::escalate provenance.
   bool escalated = false;
-  /// Rejected at submit by admission control (ExecutorOptions::
-  /// enable_shedding): the predicted backlog exceeded every pending
-  /// deadline, the status is kResourceExhausted, and nothing was prepared.
-  bool shed = false;
   /// The cost model's expected exact-solve latency, snapshotted at submit
-  /// (zero without a cost model). The admission decision — admit, degrade
-  /// proactively, or shed — was made against this prediction.
+  /// (zero without a cost model). The admission decision — admit or degrade
+  /// proactively — was made against this prediction.
   std::chrono::nanoseconds predicted_cost{0};
   /// The error guarantee the published answer carries (GuaranteeOf — exact,
   /// certified interval enclosure, empirical double, or a statistical

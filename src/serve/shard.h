@@ -27,12 +27,11 @@
 /// DeadlineExceeded — see executor.h for the full semantics.
 ///
 /// Predictive admission & slack ordering: install a CostModel on
-/// ShardedServerOptions::executor.cost_model (optionally with
-/// executor.enable_shedding) and the shared pool predicts each request's
-/// exact-solve cost at submit — degrading doomed requests proactively,
-/// shedding hopeless non-degradable ones with kResourceExhausted, and
-/// dispatching deadline-carrying requests earliest-effective-deadline-first
-/// across ALL shards (the pool is shared, so slack ordering is global).
+/// ShardedServerOptions::executor.cost_model and the shared pool predicts
+/// each request's exact-solve cost at submit — degrading doomed requests
+/// proactively and dispatching deadline-carrying requests
+/// earliest-effective-deadline-first across ALL shards (the pool has one
+/// EDF heap, so slack ordering is global).
 /// Counters: executor_stats(). Full semantics: executor.h, cost_model.h.
 ///
 /// Thread safety: every public method may be called from many threads at
@@ -104,7 +103,7 @@ class ShardedServer {
     return session(shard).stats();
   }
   /// Admission/scheduling counters of the shared executor (submitted, exact
-  /// solves started, proactive/reactive degradations, shed requests).
+  /// solves started, proactive/reactive degradations, steals).
   ExecutorStats executor_stats() const { return executor_.stats(); }
 
  private:

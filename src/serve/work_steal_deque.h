@@ -119,14 +119,6 @@ class WorkStealDeque {
     return true;
   }
 
-  /// Racy size estimate for least-loaded routing and stats; never used for
-  /// correctness decisions.
-  size_t SizeApprox() const {
-    const uint64_t b = bottom_.load(std::memory_order_relaxed);
-    const uint64_t t = top_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<size_t>(b - t) : 0;
-  }
-
  private:
   std::unique_ptr<std::atomic<T*>[]> cells_;
   size_t mask_ = 0;

@@ -102,6 +102,7 @@ class CancelToken {
   bool has_deadline() const {
     return deadline_ != Clock::time_point::max();
   }
+  Clock::time_point deadline() const { return deadline_; }
   bool expired() const {
     return has_deadline() && Clock::now() >= deadline_;
   }

@@ -96,5 +96,25 @@ TEST(AlgoPolytree, StatsAreReported) {
   EXPECT_GT(stats.max_states_per_node, 0u);
 }
 
+TEST(AlgoPolytree, LongestPathFittingThirtyTwoBitStateIds) {
+  // (m + 1)^3 states: 1625^3 fits in uint32_t, 1626^3 does not.
+  ProbGraph h(4);
+  AddEdgeOrDie(&h, 0, 1, 0, Rational::Half());
+  AddEdgeOrDie(&h, 1, 2, 0, Rational(1, 3));
+  AddEdgeOrDie(&h, 3, 1, 0, Rational(1, 4));
+  Result<Rational> fits = SolvePathProbabilityOnPolytree(1624, h);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(*fits, Rational::Zero());
+  Result<double> fits_double = SolvePathProbabilityOnPolytreeT<double>(
+      1624, h, nullptr);
+  ASSERT_TRUE(fits_double.ok()) << fits_double.status().ToString();
+  EXPECT_EQ(*fits_double, 0.0);
+
+  Result<Rational> wraps = SolvePathProbabilityOnPolytree(1625, h);
+  ASSERT_FALSE(wraps.ok());
+  EXPECT_EQ(wraps.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_FALSE(SolveDwtQueryOnPolytreeForest(MakeOneWayPath(1625), h).ok());
+}
+
 }  // namespace
 }  // namespace phom

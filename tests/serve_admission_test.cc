@@ -35,9 +35,9 @@
 ///    bit-identical across thread counts and numeric backends;
 ///  * the executor integration — proactive degradation that SKIPS the exact
 ///    solve (the headline acceptance criterion), reactive conversions keeping
-///    proactive=false, shedding hopeless requests at submit, slack ordering
-///    (plain EDF and predicted-cost-adjusted), the submit-time budget fix,
-///    and no-deadline bit-identity with a model installed;
+///    proactive=false, slack ordering (plain EDF and predicted-cost-
+///    adjusted), the submit-time budget fix, and no-deadline bit-identity
+///    with a model installed;
 ///  * MpmcQueue capacity edge cases (0/1 → 2, oversize rejection).
 ///
 /// Timing-sensitive scenarios use the shared gate-engine harness
@@ -605,7 +605,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ServeAdmissionDeterminismTest,
                          });
 
 // ---------------------------------------------------------------------------
-// Executor integration: proactive degrade, reactive provenance, shedding.
+// Executor integration: proactive degrade, reactive provenance.
 // ---------------------------------------------------------------------------
 
 TEST(ServeAdmission, ProactiveDegradeSkipsTheExactSolveEntirely) {
@@ -639,7 +639,6 @@ TEST(ServeAdmission, ProactiveDegradeSkipsTheExactSolveEntirely) {
 
   RequestStats stats = ticket.stats();
   EXPECT_TRUE(stats.degraded);
-  EXPECT_FALSE(stats.shed);
   EXPECT_GT(stats.predicted_cost, std::chrono::milliseconds(100))
       << "the hard-cell prior must dominate the 50 ms budget";
   ExpectTimelineMonotonic(stats, "proactive ticket");
@@ -650,7 +649,6 @@ TEST(ServeAdmission, ProactiveDegradeSkipsTheExactSolveEntirely) {
       << "the exact solve must never start for a proactively degraded request";
   EXPECT_EQ(exec.degraded_proactive, 1u);
   EXPECT_EQ(exec.degraded_reactive, 0u);
-  EXPECT_EQ(exec.shed, 0u);
 }
 
 TEST(ServeAdmission, ReactiveConversionIsNotMarkedProactive) {
@@ -693,87 +691,6 @@ TEST(ServeAdmission, ReactiveConversionIsNotMarkedProactive) {
   EXPECT_EQ(exec.exact_solves_started, 1u);
   EXPECT_EQ(exec.degraded_reactive, 1u);
   EXPECT_EQ(exec.degraded_proactive, 0u);
-}
-
-TEST(ServeAdmission, ShedsHopelessRequestsAtSubmitWithoutPreparing) {
-  test_util::EnsureGateEngineRegistered(kGateEngine);
-  TestGate()->Reset();
-  Rng rng(test_util::kCrosscheckSeedBase + 62);
-  ProbGraph instance = MixedServeInstance(&rng);
-  EvalSession session(instance);
-
-  ExecutorOptions options;
-  options.threads = 1;
-  options.split_components = false;  // whole-problem keys throughout
-  options.cost_model = std::make_shared<CostModel>();
-  options.enable_shedding = true;
-  BatchExecutor executor(options);
-  GateOpener opener;  // after the executor: failure-proofs the drain
-
-  // Teach the model that the gate engine takes 10 s on this cell, then park
-  // the lone worker on it: the pool now carries a predicted 10 s backlog.
-  const DiGraph blocker_query = MakeLabeledPath({0});
-  SolveOptions forced = session.options();
-  forced.force_engine = kGateEngine;
-  {
-    PreparedProblem prepared = session.Prepare(blocker_query);
-    PrimeWholeProblemCell(options.cost_model.get(), prepared, forced,
-                          std::chrono::seconds(10));
-  }
-  SolveRequest blocker(blocker_query);
-  blocker.WithEngine(kGateEngine);
-  SolveTicket blocker_ticket = executor.Submit(session, std::move(blocker));
-  TestGate()->AwaitEntered(1);  // the worker is inside the gate engine
-
-  // Victim 1: a 10 ms deadline against a 10 s backlog, no pending deadlines
-  // to beat, shedding on, degradation off → rejected at submit, with the
-  // session untouched.
-  const size_t queries_before = session.stats().queries;
-  SolveRequest hopeless(MakeLabeledPath({1}));
-  hopeless.WithBudget(std::chrono::milliseconds(10));
-  SolveTicket shed_ticket = executor.Submit(session, std::move(hopeless));
-  Result<SolveResult> shed_result = shed_ticket.Get();
-  ASSERT_FALSE(shed_result.ok());
-  EXPECT_EQ(shed_result.status().code(), Status::Code::kResourceExhausted);
-  EXPECT_TRUE(shed_ticket.stats().shed);
-  EXPECT_EQ(shed_ticket.stats().predicted_cost.count(), 0)
-      << "shedding fires before preparation, so nothing was predicted";
-  EXPECT_EQ(session.stats().queries, queries_before)
-      << "a shed request must never touch the session";
-  ExpectTimelineMonotonic(shed_ticket.stats(), "shed ticket");
-
-  // Victim 2: a distant deadline the backlog CAN clear → admitted normally.
-  SolveRequest patient(MakeLabeledPath({1}));
-  patient.WithBudget(std::chrono::hours(1));
-  SolveTicket patient_ticket = executor.Submit(session, std::move(patient));
-  EXPECT_FALSE(patient_ticket.done()) << "admitted, waiting on the backlog";
-
-  // Victim 3: another 10 ms deadline — but now victim 2's one-hour deadline
-  // is pending and the backlog clears before it, so the conservative rule
-  // must NOT shed (a reordering could still serve victim 2). The request is
-  // admitted and, with degradation off, eventually answers DeadlineExceeded.
-  SolveRequest doomed(MakeLabeledPath({1}));
-  doomed.WithBudget(std::chrono::milliseconds(10));
-  SolveTicket doomed_ticket = executor.Submit(session, std::move(doomed));
-
-  // Let the admitted 10 ms deadline actually lapse while the worker is still
-  // parked, then release it: the dequeue gate answers DeadlineExceeded.
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  TestGate()->Open();
-  Result<SolveResult> blocker_result = blocker_ticket.Get();
-  ASSERT_TRUE(blocker_result.ok()) << blocker_result.status().ToString();
-  EXPECT_EQ(blocker_result->stats.engine, kGateEngine);
-  Result<SolveResult> patient_result = patient_ticket.Get();
-  ASSERT_TRUE(patient_result.ok()) << patient_result.status().ToString();
-  Result<SolveResult> doomed_result = doomed_ticket.Get();
-  ASSERT_FALSE(doomed_result.ok());
-  EXPECT_EQ(doomed_result.status().code(), Status::Code::kDeadlineExceeded)
-      << "not shed: some pending deadline was satisfiable";
-  EXPECT_FALSE(doomed_ticket.stats().shed);
-
-  ExecutorStats exec = executor.stats();
-  EXPECT_EQ(exec.submitted, 4u);
-  EXPECT_EQ(exec.shed, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -958,7 +875,6 @@ TEST_P(ServeAdmissionIdentityTest, NoDeadlinesBitIdenticalWithModelInstalled) {
     ExecutorOptions exec_options;
     exec_options.threads = threads;
     exec_options.cost_model = std::make_shared<CostModel>();
-    exec_options.enable_shedding = true;  // must be inert without deadlines
     BatchExecutor executor(exec_options);
     EvalSession async_session(instance, options);
     std::vector<SolveRequest> requests;
@@ -985,7 +901,6 @@ TEST_P(ServeAdmissionIdentityTest, NoDeadlinesBitIdenticalWithModelInstalled) {
     EXPECT_EQ(exec.submitted, batch.size());
     EXPECT_EQ(exec.degraded_proactive, 0u);
     EXPECT_EQ(exec.degraded_reactive, 0u);
-    EXPECT_EQ(exec.shed, 0u);
     EXPECT_GT(exec.exact_solves_started, 0u);
     // The model learned from the served exact solves.
     EXPECT_GT(exec_options.cost_model->Snapshot()->num_cells(), 0u);

@@ -218,7 +218,6 @@ TEST(ShardedServerStress, RequestTimelinesMonotonicUnderMixedLoad) {
   }
   serve::ExecutorStats exec = server.executor_stats();
   EXPECT_EQ(exec.submitted, tickets.size());
-  EXPECT_EQ(exec.shed, 0u);
 }
 
 // ---------------------------------------------------------------------------
