@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "src/util/status.h"
-
 namespace phom {
 
 const char* ToString(GraphClass c) {
@@ -17,17 +15,6 @@ const char* ToString(GraphClass c) {
     case GraphClass::kGeneral: return "General";
   }
   return "?";
-}
-
-Result<GraphClass> ParseGraphClass(std::string_view text) {
-  if (text == "1WP") return GraphClass::kOneWayPath;
-  if (text == "2WP") return GraphClass::kTwoWayPath;
-  if (text == "DWT") return GraphClass::kDownwardTree;
-  if (text == "PT") return GraphClass::kPolytree;
-  if (text == "Connected") return GraphClass::kConnected;
-  if (text == "General") return GraphClass::kGeneral;
-  return Status::Invalid("unknown graph class name '" + std::string(text) +
-                         "'");
 }
 
 namespace {

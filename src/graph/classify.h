@@ -1,11 +1,9 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/graph/digraph.h"
-#include "src/util/result.h"
 
 /// \file classify.h
 /// Recognizers for the paper's graph classes (§2, Figure 2):
@@ -44,11 +42,6 @@ enum class GraphClass {
 };
 
 const char* ToString(GraphClass c);
-
-/// Inverse of ToString(GraphClass): "1WP" → kOneWayPath, ..., "General" →
-/// kGeneral. Unknown names are Status::Invalid (used by loaders that read
-/// persisted class names, e.g. the cost-model snapshot import).
-Result<GraphClass> ParseGraphClass(std::string_view text);
 
 /// Connectivity of the underlying undirected graph. The empty graph and
 /// single vertices are connected.

@@ -47,7 +47,10 @@ struct Cursor {
     if (IsIdentChar(text[pos])) {
       size_t end = pos;
       while (end < text.size() && IsIdentChar(text[end])) ++end;
-      return "'" + std::string(text.substr(pos, end - pos)) + "'";
+      std::string token = "'";
+      token.append(text.substr(pos, end - pos));
+      token += '\'';
+      return token;
     }
     return std::string("'") + text[pos] + "'";
   }
@@ -169,15 +172,20 @@ std::string FormatConjunctiveQuery(const DiGraph& query,
   std::ostringstream os;
   auto name = [&](VertexId v) {
     if (names != nullptr && v < names->size()) return (*names)[v];
-    return "v" + std::to_string(v);
+    std::string fallback = "v";
+    fallback += std::to_string(v);
+    return fallback;
   };
   bool first = true;
   for (const Edge& e : query.edges()) {
     if (!first) os << ", ";
     first = false;
-    os << (e.label < alphabet.size() ? alphabet.Name(e.label)
-                                     : "L" + std::to_string(e.label))
-       << "(" << name(e.src) << ", " << name(e.dst) << ")";
+    if (e.label < alphabet.size()) {
+      os << alphabet.Name(e.label);
+    } else {
+      os << 'L' << e.label;
+    }
+    os << "(" << name(e.src) << ", " << name(e.dst) << ")";
   }
   return os.str();
 }

@@ -1,5 +1,6 @@
 #include "src/graph/io.h"
 
+#include <limits>
 #include <sstream>
 
 namespace phom {
@@ -10,7 +11,9 @@ std::string LabelName(LabelId label, const Alphabet* alphabet) {
   if (alphabet != nullptr && label < alphabet->size()) {
     return alphabet->Name(label);
   }
-  return "L" + std::to_string(label);
+  std::string name = "L";
+  name += std::to_string(label);
+  return name;
 }
 
 struct ParsedEdgeLine {
@@ -59,6 +62,11 @@ Result<ProbGraph> ParseProbGraph(std::string_view text, Alphabet* alphabet) {
   size_t n = 0;
   size_t m = 0;
   if (!(is >> n >> m)) return Status::Invalid("bad header");
+  // Checked before ProbGraph allocates per-vertex storage: ids are 32-bit.
+  if (n > std::numeric_limits<VertexId>::max()) {
+    return Status::Invalid("vertex count " + std::to_string(n) +
+                           " exceeds the 32-bit vertex id range");
+  }
   std::string rest_of_header;
   std::getline(is, rest_of_header);
   ProbGraph g(n);

@@ -23,7 +23,8 @@ void FormatNode(const UcqEvalPlan& plan, int32_t index, std::string* out) {
       *out += node.constant.ToString();
       return;
     case LiftedOp::kLeaf:
-      *out += "L" + std::to_string(node.unit);
+      *out += 'L';
+      *out += std::to_string(node.unit);
       return;
     default:
       break;

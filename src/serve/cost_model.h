@@ -30,6 +30,14 @@
 /// (~microseconds) for the PTIME classes, exponential in the uncertain edge
 /// count (~2 µs per world) for the hard ones.
 ///
+/// A prediction is the cell's expected latency plus the low (optimistic)
+/// edge of its band: learned cells use mean - 2·deviation, prior cells
+/// prior / 8. The model feeds exactly three consumers — slack ordering and
+/// escalation pricing read `expected`, proactive degradation reads
+/// `optimistic` — and has no settings: the EWMA step, band width and prior
+/// band factor are constants of cost_model.cc. It lives only in memory;
+/// nothing persists or reloads it.
+///
 /// DETERMINISM. EWMA updates under concurrent completion races are
 /// order-dependent, so admission decisions are NEVER made against the live
 /// model: Submit takes an immutable CostModelSnapshot once per request and
@@ -41,22 +49,10 @@
 
 namespace phom::serve {
 
-struct CostModelOptions {
-  /// EWMA step for both the mean and the mean-absolute-deviation tracker.
-  double alpha = 0.25;
-  /// Learned-cell uncertainty band half-width, in deviations:
-  /// [mean - k·dev, mean + k·dev], clamped at zero.
-  double band_sigmas = 2.0;
-  /// Prior-cell band: [prior / f, prior · f]. Wide on purpose — priors are
-  /// order-of-magnitude guesses, and the optimistic edge is what proactive
-  /// degradation keys on (only skip the exact attempt when even the BEST
-  /// case misses).
-  double prior_band_factor = 8.0;
-};
-
-/// Upper bound of every predicted latency (~285 years): cells clamp to it,
-/// and sums of predictions saturate at it instead of overflowing int64 — an
-/// imported snapshot may carry any finite mean.
+/// Upper bound of every predicted latency (~285 years): cells clamp to it (a
+/// cell may have observed any int64 latency), and sums of predictions (many
+/// components, the escalation doubling) saturate at it instead of
+/// overflowing int64.
 inline constexpr std::chrono::nanoseconds kMaxPredictedCost{
     9'000'000'000'000'000'000};
 
@@ -66,20 +62,16 @@ inline std::chrono::nanoseconds SaturatingCostSum(std::chrono::nanoseconds a,
   return b > kMaxPredictedCost - a ? kMaxPredictedCost : a + b;
 }
 
-/// A predicted exact-solve latency with its uncertainty band
-/// (optimistic <= expected <= pessimistic).
+/// A predicted exact-solve latency with the low edge of its uncertainty
+/// band (optimistic <= expected). Slack ordering and escalation pricing read
+/// `expected`; proactive degradation reads `optimistic`.
 struct CostPrediction {
   std::chrono::nanoseconds expected{0};
   std::chrono::nanoseconds optimistic{0};
-  std::chrono::nanoseconds pessimistic{0};
-  /// At least one contributing cell had no observations (prior-backed).
-  bool from_prior = false;
 
   CostPrediction& operator+=(const CostPrediction& other) {
     expected = SaturatingCostSum(expected, other.expected);
     optimistic = SaturatingCostSum(optimistic, other.optimistic);
-    pessimistic = SaturatingCostSum(pessimistic, other.pessimistic);
-    from_prior = from_prior || other.from_prior;
     return *this;
   }
 };
@@ -158,7 +150,6 @@ class CostModelSnapshot {
   };
 
   std::unordered_map<Key, Cell, KeyHash> cells_;
-  CostModelOptions options_;
   uint64_t version_ = 0;
 };
 
@@ -169,10 +160,8 @@ class CostModelSnapshot {
 /// executor records every completed exact solve back automatically.
 class CostModel {
  public:
-  explicit CostModel(CostModelOptions options = {});
-
   /// Records one observed solve latency for a cell (the raw-key hook; tests
-  /// and warm-start loaders use it directly).
+  /// use it directly).
   void RecordComponent(std::string_view engine, GraphClass component_class,
                        size_t uncertain_edges,
                        std::chrono::nanoseconds duration);
@@ -193,36 +182,6 @@ class CostModel {
   /// The current immutable snapshot (cached; rebuilt only after updates).
   std::shared_ptr<const CostModelSnapshot> Snapshot() const;
 
-  /// Serializes the learned cells as a small self-contained JSON document
-  /// (schema version, then one record per cell with its key and EWMA
-  /// state), suitable for persisting across runs and re-loading with
-  /// ImportSnapshotJson. Cells are emitted in sorted key order, so equal
-  /// models export byte-identical strings (stable round-trip tests, clean
-  /// diffs of persisted snapshots). Latencies are serialized as exact
-  /// nanosecond doubles via max_digits10 — export→import→export is
-  /// byte-identical.
-  std::string ExportSnapshotJson() const;
-
-  /// Bulk warm-start loader, the persisted-snapshot counterpart of the
-  /// RecordComponent raw-key hook: installs every cell of a previously
-  /// exported snapshot. `decay_toward_prior` in [0, 1] blends each imported
-  /// cell toward its cold-start prior (PriorComponentCost at the bucket's
-  /// smallest member count): mean and deviation move linearly toward the
-  /// prior's, and the observation count is scaled by (1 - decay) — so a
-  /// stale snapshot re-learns quickly while still beating the raw prior.
-  /// decay = 0 restores verbatim; decay = 1 keeps the keys but resets their
-  /// state to the prior with a single-observation weight. Imported state
-  /// OVERWRITES cells with matching keys and is itself overwritten by
-  /// subsequent RecordComponent updates (the EWMA just continues). Returns
-  /// the number of cells installed; malformed JSON or an unknown schema
-  /// version is Status::Invalid and installs nothing. Older snapshots carry
-  /// per-cell `width_mean`/`width_count` keys; they are validated like any
-  /// other field and then discarded.
-  Result<size_t> ImportSnapshotJson(std::string_view json,
-                                    double decay_toward_prior = 0.0);
-
-  const CostModelOptions& options() const { return options_; }
-
  private:
   static constexpr size_t kStripes = 16;
   struct Stripe {
@@ -232,7 +191,6 @@ class CostModel {
         cells;  ///< guarded by mu
   };
 
-  CostModelOptions options_;
   std::array<Stripe, kStripes> stripes_;
   std::atomic<uint64_t> version_{0};
   mutable std::mutex snapshot_mu_;
@@ -262,13 +220,13 @@ struct AdmissionDecision {
 ///
 /// ESCALATION PRICING: an interval-backend request whose EscalationPolicy is
 /// kOnWideResult may cost a second, exact re-run of the whole solve
-/// (executor.h), so its predicted EXPECTED and PESSIMISTIC costs are doubled
-/// — the re-run lands in the same (engine, class, bucket) cells, which the
-/// executor trains with every escalated re-run it performs. The OPTIMISTIC
-/// edge deliberately stays the single-solve cost (best case: the enclosure
-/// comes back tight and no re-run happens), so proactive degradation never
-/// fires on escalation risk alone. With escalation off the decision is
-/// bit-identical to the pre-escalation rule.
+/// (executor.h), so its predicted EXPECTED cost is doubled — the re-run
+/// lands in the same (engine, class, bucket) cells, which the executor trains
+/// with every escalated re-run it performs. The OPTIMISTIC edge deliberately
+/// stays the single-solve cost (best case: the enclosure comes back tight and
+/// no re-run happens), so proactive degradation never fires on escalation
+/// risk alone. With escalation off the decision is bit-identical to the
+/// pre-escalation rule.
 AdmissionDecision DecideAdmission(
     const CostModelSnapshot& snapshot, const PreparedProblem& prepared,
     const ComponentDispatch& plan, const SolveOptions& options,

@@ -149,13 +149,12 @@ struct ExecutorOptions {
   /// request. Results are identical either way.
   bool split_components = true;
   /// Learned latency model (cost_model.h) consulted once per Submit via an
-  /// immutable snapshot: predictions set the slack-ordering effective
-  /// deadline and drive PROACTIVE degradation; completed exact solves are
-  /// recorded back. Null (the default) disables prediction entirely —
-  /// admission and provenance are then unchanged from the pre-cost-model
-  /// executor. To warm-start from a persisted snapshot, call
-  /// CostModel::ImportSnapshotJson(json, decay) on the model (it returns a
-  /// Result) before handing it over.
+  /// immutable snapshot: the expected cost sets the slack-ordering effective
+  /// deadline and prices escalation re-runs, and the optimistic edge drives
+  /// PROACTIVE degradation; completed exact solves are recorded back. Null
+  /// (the default) disables prediction entirely — admission and provenance
+  /// are then unchanged from the pre-cost-model executor. The model starts
+  /// cold (prior-backed) and learns only from the solves recorded into it.
   std::shared_ptr<CostModel> cost_model = nullptr;
   /// Per-worker deque capacity (rounded up to a power of two, minimum 2).
   /// A full deque overflows into the injection queue, then inline.

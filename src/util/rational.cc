@@ -189,9 +189,11 @@ std::string Rational::ToDecimalString(int digits) const {
   if (static_cast<int>(body.size()) <= digits) {
     body.insert(0, digits + 1 - body.size(), '0');
   }
-  body.insert(body.size() - digits, ".");
-  if (num_.is_negative()) body.insert(0, "-");
-  return body;
+  std::string out = num_.is_negative() ? "-" : "";
+  out.append(body, 0, body.size() - digits);
+  out += '.';
+  out.append(body, body.size() - digits);
+  return out;
 }
 
 double Rational::ToDouble() const {

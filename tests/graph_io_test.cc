@@ -52,6 +52,16 @@ TEST(Io, ParseErrors) {
       ParseProbGraph("2 2\n0 1 R\n0 1 S\n", &alphabet).ok());  // multi-edge
 }
 
+TEST(Io, ParseRejectsVertexCountsBeyondThirtyTwoBitIds) {
+  // Rejected with a Status before any per-vertex storage is allocated.
+  for (const char* header : {"18446744073709551615 0", "4611686018427387904 0"}) {
+    Alphabet alphabet;
+    Result<ProbGraph> parsed = Status::Invalid("not run");
+    EXPECT_NO_THROW(parsed = ParseProbGraph(header, &alphabet)) << header;
+    EXPECT_FALSE(parsed.ok()) << header;
+  }
+}
+
 TEST(Io, DotContainsEdgesAndProbabilities) {
   Alphabet alphabet;
   LabelId r = alphabet.Intern("R");

@@ -29,8 +29,7 @@
 ///
 ///  * the cost model itself — log2 bucketing, the BENCH-shaped priors, EWMA
 ///    learning with exact arithmetic checks, snapshot immutability/caching,
-///    the snapshot JSON round trip (including the legacy width keys older
-///    exports carry), and the conservative DecideAdmission rule;
+///    and the conservative DecideAdmission rule;
 ///  * admission determinism — decisions against a fixed snapshot are
 ///    bit-identical across thread counts and numeric backends;
 ///  * the executor integration — proactive degradation that SKIPS the exact
@@ -156,12 +155,11 @@ TEST(CostModel, UnlearnedCellsPredictFromPriorWithWideBand) {
   EXPECT_EQ(snapshot->num_cells(), 0u);
   CostPrediction p =
       snapshot->PredictComponent("fallback", GraphClass::kConnected, 10);
-  EXPECT_TRUE(p.from_prior);
+  EXPECT_EQ(p.expected, PriorComponentCost("fallback", GraphClass::kConnected,
+                                            10));
   EXPECT_EQ(p.expected, std::chrono::nanoseconds(2'048'000));
   EXPECT_EQ(p.optimistic, std::chrono::nanoseconds(256'000));    // prior / 8
-  EXPECT_EQ(p.pessimistic, std::chrono::nanoseconds(16'384'000));  // prior * 8
   EXPECT_LE(p.optimistic, p.expected);
-  EXPECT_LE(p.expected, p.pessimistic);
 }
 
 TEST(CostModel, EwmaLearnsWithExactArithmeticAndSnapshotsAreImmutable) {
@@ -174,17 +172,16 @@ TEST(CostModel, EwmaLearnsWithExactArithmeticAndSnapshotsAreImmutable) {
     // First observation: mean = x, dev = x/2 (deliberately wide), band
     // mean ± 2·dev = [0, 2000].
     CostPrediction p = first->PredictComponent("e", GraphClass::kTwoWayPath, 5);
-    EXPECT_FALSE(p.from_prior);
+    EXPECT_NE(p.expected, PriorComponentCost("e", GraphClass::kTwoWayPath, 5));
     EXPECT_EQ(p.expected.count(), 1000);
     EXPECT_EQ(p.optimistic.count(), 0);
-    EXPECT_EQ(p.pessimistic.count(), 2000);
     // Edge counts 4..7 share bucket 3, so they read the same cell.
     CostPrediction same_bucket =
         first->PredictComponent("e", GraphClass::kTwoWayPath, 7);
     EXPECT_EQ(same_bucket.expected, p.expected);
     // Bucket 2 (counts 2-3) is a different, unlearned cell.
-    EXPECT_TRUE(
-        first->PredictComponent("e", GraphClass::kTwoWayPath, 3).from_prior);
+    EXPECT_EQ(first->PredictComponent("e", GraphClass::kTwoWayPath, 3).expected,
+              PriorComponentCost("e", GraphClass::kTwoWayPath, 3));
   }
 
   // EWMA step (alpha = 0.25): mean 1000 → 1250, dev 500 → 625. All values
@@ -197,7 +194,6 @@ TEST(CostModel, EwmaLearnsWithExactArithmeticAndSnapshotsAreImmutable) {
         second->PredictComponent("e", GraphClass::kTwoWayPath, 5);
     EXPECT_EQ(p.expected.count(), 1250);
     EXPECT_EQ(p.optimistic.count(), 0);  // 1250 - 2*625 = 0
-    EXPECT_EQ(p.pessimistic.count(), 2500);
   }
   // A zero-error observation shrinks the deviation: dev 625 → 468.75.
   model.RecordComponent("e", GraphClass::kTwoWayPath, 5,
@@ -206,8 +202,7 @@ TEST(CostModel, EwmaLearnsWithExactArithmeticAndSnapshotsAreImmutable) {
   {
     CostPrediction p = third->PredictComponent("e", GraphClass::kTwoWayPath, 5);
     EXPECT_EQ(p.expected.count(), 1250);
-    EXPECT_EQ(p.optimistic.count(), 312);    // 1250 - 937.5, truncated
-    EXPECT_EQ(p.pessimistic.count(), 2187);  // 1250 + 937.5, truncated
+    EXPECT_EQ(p.optimistic.count(), 312);  // 1250 - 937.5, truncated
   }
 
   // Snapshot isolation: the snapshots taken earlier still answer from their
@@ -234,167 +229,6 @@ TEST(CostModel, SnapshotIsCachedUntilTheNextUpdate) {
   std::shared_ptr<const CostModelSnapshot> c = model.Snapshot();
   EXPECT_NE(a.get(), c.get());
   EXPECT_GT(c->version(), a->version());
-}
-
-TEST(CostModel, SnapshotJsonRoundTripsByteIdentically) {
-  CostModel model;
-  model.RecordComponent("fallback", GraphClass::kGeneral, 20,
-                        std::chrono::nanoseconds(2'300'000'000));
-  model.RecordComponent("fallback", GraphClass::kGeneral, 20,
-                        std::chrono::nanoseconds(2'100'000'000));
-  model.RecordComponent("connected-on-2wp", GraphClass::kTwoWayPath, 7,
-                        std::chrono::nanoseconds(41'337));
-  model.RecordComponent("path-on-dwt", GraphClass::kDownwardTree, 0,
-                        std::chrono::nanoseconds(19'001));
-
-  const std::string json = model.ExportSnapshotJson();
-  CostModel restored;
-  Result<size_t> imported = restored.ImportSnapshotJson(json);
-  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
-  EXPECT_EQ(*imported, 3u);
-  // Exact round trip: re-export is byte-identical (sorted cells, %.17g
-  // latencies), and predictions agree bit for bit.
-  EXPECT_EQ(restored.ExportSnapshotJson(), json);
-  std::shared_ptr<const CostModelSnapshot> a = model.Snapshot();
-  std::shared_ptr<const CostModelSnapshot> b = restored.Snapshot();
-  EXPECT_EQ(b->num_cells(), 3u);
-  for (size_t edges : {0, 7, 20, 1000}) {
-    CostPrediction pa = a->PredictComponent("fallback", GraphClass::kGeneral,
-                                            edges);
-    CostPrediction pb = b->PredictComponent("fallback", GraphClass::kGeneral,
-                                            edges);
-    EXPECT_EQ(pa.expected, pb.expected) << edges;
-    EXPECT_EQ(pa.optimistic, pb.optimistic) << edges;
-    EXPECT_EQ(pa.pessimistic, pb.pessimistic) << edges;
-    EXPECT_EQ(pa.from_prior, pb.from_prior) << edges;
-  }
-
-  // Malformed inputs are rejected whole: nothing installs.
-  CostModel untouched;
-  EXPECT_FALSE(untouched.ImportSnapshotJson("").ok());
-  EXPECT_FALSE(untouched.ImportSnapshotJson("{}").ok());
-  EXPECT_FALSE(untouched.ImportSnapshotJson("{\"schema\":2,\"cells\":[]}").ok());
-  EXPECT_FALSE(untouched
-                   .ImportSnapshotJson(
-                       "{\"schema\":1,\"cells\":[{\"engine\":\"e\"}]}")
-                   .ok());
-  EXPECT_FALSE(untouched.ImportSnapshotJson(json, /*decay_toward_prior=*/1.5)
-                   .ok());
-  EXPECT_EQ(untouched.Snapshot()->num_cells(), 0u);
-
-  // The empty model round-trips too.
-  CostModel empty;
-  Result<size_t> none = CostModel().ImportSnapshotJson(
-      empty.ExportSnapshotJson());
-  ASSERT_TRUE(none.ok());
-  EXPECT_EQ(*none, 0u);
-
-  // Older exports carry per-cell width_mean/width_count keys. They still
-  // import (same cells, same latency state), and re-export drops them.
-  const auto snapshot_json = [](const std::string& width_keys_2wp,
-                                const std::string& width_keys_fallback) {
-    return "{\"schema\":1,\"cells\":[\n"
-           "{\"engine\":\"connected-on-2wp\",\"class\":\"2WP\","
-           "\"bucket\":3,\"mean_ns\":41337,\"dev_ns\":20668.5,"
-           "\"count\":1" +
-           width_keys_2wp +
-           "},\n"
-           "{\"engine\":\"fallback\",\"class\":\"General\","
-           "\"bucket\":5,\"mean_ns\":2250000000,\"dev_ns\":1150000000,"
-           "\"count\":2" +
-           width_keys_fallback + "}]}\n";
-  };
-  const std::string legacy = snapshot_json(
-      ",\"width_mean\":4.4408920985006257e-16,\"width_count\":1",
-      ",\"width_mean\":0,\"width_count\":0");
-  const std::string current = snapshot_json("", "");
-
-  CostModel from_legacy;
-  Result<size_t> legacy_imported = from_legacy.ImportSnapshotJson(legacy);
-  ASSERT_TRUE(legacy_imported.ok()) << legacy_imported.status().ToString();
-  EXPECT_EQ(*legacy_imported, 2u);
-  EXPECT_EQ(from_legacy.Snapshot()->num_cells(), 2u);
-  const CostPrediction p = from_legacy.Snapshot()->PredictComponent(
-      "connected-on-2wp", GraphClass::kTwoWayPath, 4);
-  EXPECT_FALSE(p.from_prior);
-  EXPECT_EQ(p.expected, std::chrono::nanoseconds(41'337));
-
-  const std::string exported = from_legacy.ExportSnapshotJson();
-  EXPECT_EQ(exported, current) << "width keys are not re-exported";
-  CostModel again;
-  ASSERT_TRUE(again.ImportSnapshotJson(exported).ok());
-  EXPECT_EQ(again.ExportSnapshotJson(), exported) << "byte-stable round trip";
-
-  // The legacy keys are still validated before being discarded.
-  for (const std::string& bad_width :
-       {std::string(",\"width_mean\":0,\"width_count\":-1"),
-        std::string(",\"width_mean\":0,\"width_count\":0.5"),
-        std::string(",\"width_mean\":\"x\",\"width_count\":1")}) {
-    EXPECT_FALSE(
-        untouched.ImportSnapshotJson(snapshot_json(bad_width, "")).ok())
-        << bad_width;
-  }
-  EXPECT_EQ(untouched.Snapshot()->num_cells(), 0u);
-}
-
-TEST(CostModel, ImportDecayBlendsTowardThePrior) {
-  CostModel model;
-  // One well-observed cell, far from its prior.
-  for (int i = 0; i < 8; ++i) {
-    model.RecordComponent("connected-on-2wp", GraphClass::kTwoWayPath, 4,
-                          std::chrono::nanoseconds(1'000'000));
-  }
-  const std::string json = model.ExportSnapshotJson();
-  // Bucket 3 covers counts 4–7; its prior is evaluated at the smallest
-  // member, 20 µs + 2 µs · 4 = 28 µs.
-  const double prior_ns = 28'000.0;
-
-  CostModel verbatim;
-  ASSERT_TRUE(verbatim.ImportSnapshotJson(json, 0.0).ok());
-  CostModel half;
-  ASSERT_TRUE(half.ImportSnapshotJson(json, 0.5).ok());
-  CostModel reset;
-  ASSERT_TRUE(reset.ImportSnapshotJson(json, 1.0).ok());
-
-  const auto expected_of = [](const CostModel& m) {
-    return static_cast<double>(m.Snapshot()
-                                   ->PredictComponent("connected-on-2wp",
-                                                      GraphClass::kTwoWayPath,
-                                                      4)
-                                   .expected.count());
-  };
-  const double mean = expected_of(verbatim);
-  EXPECT_EQ(mean, 1'000'000.0) << "decay 0 restores verbatim";
-  EXPECT_EQ(expected_of(half), 0.5 * mean + 0.5 * prior_ns);
-  EXPECT_EQ(expected_of(reset), prior_ns)
-      << "decay 1 keeps the key but resets its state to the prior";
-  // Decayed cells are still LEARNED cells (count >= 1): predictions come
-  // from the blended EWMA state, not the prior band.
-  EXPECT_FALSE(reset.Snapshot()
-                   ->PredictComponent("connected-on-2wp",
-                                      GraphClass::kTwoWayPath, 4)
-                   .from_prior);
-}
-
-TEST(CostModel, ExecutorWarmStartImportsAtConstruction) {
-  // Learn a cell in one "run", persist it, import the bytes into a fresh
-  // model and hand that to a new executor: it must predict from the learned
-  // cell before any request completes.
-  CostModel previous_run;
-  previous_run.RecordComponent("fallback", GraphClass::kGeneral, 10,
-                               std::chrono::nanoseconds(5'000'000));
-  const std::string json = previous_run.ExportSnapshotJson();
-
-  auto model = std::make_shared<CostModel>();
-  ASSERT_TRUE(model->ImportSnapshotJson(json).ok());
-  ExecutorOptions options;
-  options.threads = 1;
-  options.cost_model = model;
-  BatchExecutor executor(options);
-  EXPECT_EQ(model->Snapshot()->num_cells(), 1u);
-  EXPECT_FALSE(model->Snapshot()
-                   ->PredictComponent("fallback", GraphClass::kGeneral, 10)
-                   .from_prior);
 }
 
 TEST(CostModel, RecordSolveSkipsDegradedAndImmediateResults) {
@@ -437,7 +271,6 @@ TEST(CostModel, PredictSolveCostMirrorsTheDispatchShape) {
   ComponentDispatch no_plan;
   CostPrediction p = snapshot->PredictSolveCost(immediate, no_plan, options);
   EXPECT_EQ(p.expected.count(), 0);
-  EXPECT_EQ(p.pessimistic.count(), 0);
 
   // A componentwise plan sums per-component predictions under the plan's
   // engine — the same units the executor will enqueue.
@@ -457,8 +290,6 @@ TEST(CostModel, PredictSolveCostMirrorsTheDispatchShape) {
     }
     EXPECT_EQ(whole.expected, sum.expected);
     EXPECT_EQ(whole.optimistic, sum.optimistic);
-    EXPECT_EQ(whole.pessimistic, sum.pessimistic);
-    EXPECT_EQ(whole.from_prior, sum.from_prior);
   }
   EXPECT_TRUE(saw_componentwise)
       << "corpus must exercise the componentwise prediction path";
@@ -511,8 +342,6 @@ struct DecisionRecord {
   int action = 0;
   int64_t expected = 0;
   int64_t optimistic = 0;
-  int64_t pessimistic = 0;
-  bool from_prior = false;
 
   bool operator==(const DecisionRecord&) const = default;
 };
@@ -567,8 +396,7 @@ TEST_P(ServeAdmissionDeterminismTest, DecisionsBitIdenticalAcrossThreads) {
             DecideAdmission(*snapshot, u.prepared, u.plan, u.options, budget);
         out->push_back(DecisionRecord{
             static_cast<int>(d.action), d.predicted.expected.count(),
-            d.predicted.optimistic.count(), d.predicted.pessimistic.count(),
-            d.predicted.from_prior});
+            d.predicted.optimistic.count()});
       }
     }
   };
