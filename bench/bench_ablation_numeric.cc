@@ -197,6 +197,29 @@ void BM_NumericPolytreeInterval(benchmark::State& state) {
 BENCHMARK(BM_NumericPolytreeInterval)->RangeMultiplier(2)->Range(16, 128)
     ->Unit(benchmark::kMillisecond)->Complexity();
 
+// The same solves through one EvalSession: after the first, the context's
+// compiled encoding and interval probabilities are reused, so each
+// iteration is the automaton run alone (compiled.h). The one-shot row above
+// compiles on every solve.
+void BM_NumericPolytreeIntervalWarmContext(benchmark::State& state) {
+  Rng rng(93);  // same seed: identical inputs
+  ProbGraph h = AttachRandomProbabilities(
+      &rng, ProperShape(Shape::kPt, state.range(0), 1, &rng), 2);
+  DiGraph q = MakeOneWayPath(3);
+  EvalSession session(h, WithBackend(NumericBackend::kIntervalDouble,
+                                     "unlabeled-polytree"));
+  {
+    Result<SolveResult> r = session.Solve(q);
+    PHOM_CHECK_MSG(r.ok(), r.status().ToString());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.Solve(q));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_NumericPolytreeIntervalWarmContext)->RangeMultiplier(2)
+    ->Range(16, 128)->Unit(benchmark::kMillisecond)->Complexity();
+
 void BM_NumericFallbackExact(benchmark::State& state) {
   Rng rng(94);
   ProbGraph h = AttachRandomProbabilities(

@@ -87,14 +87,14 @@ std::vector<bool> MatchEnds(const std::vector<LabelId>& pattern,
   return match;
 }
 
-/// Cell arithmetic of the Prop. 4.10 DP. Each spine edge e enters once,
-/// as a (present, absent) weight pair. Approximate backends weigh with
-/// (p, 1-p) and keep f itself.
+/// Cell arithmetic of the Prop. 4.10 DP, over the edge probabilities in
+/// `Num`. Each spine edge e enters once, as a (present, absent) weight
+/// pair. Approximate backends weigh with (p, 1-p) and keep f itself.
 template <class Num>
 class DwtCells {
  public:
   using Cell = Num;
-  explicit DwtCells(const std::vector<Rational>& probs) : probs_(probs) {}
+  explicit DwtCells(const std::vector<Num>& probs) : probs_(probs) {}
   const Cell& Present(EdgeId e) const { return probs_[e]; }
   /// Called once per spine edge.
   Cell Absent(EdgeId e) { return NumericOps<Num>::Complement(probs_[e]); }
@@ -104,7 +104,7 @@ class DwtCells {
   }
 
  private:
-  BackendProbs<Num> probs_;
+  const std::vector<Num>& probs_;
 };
 
 /// Exact backend, fraction-free: with p_e = a_e/b_e in canonical form the
@@ -136,13 +136,15 @@ class DwtCells<Rational> {
 
 template <class Num>
 Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
-                                  const ProbGraph& instance, DwtStats* stats) {
+                                  const CompiledComponent& instance,
+                                  DwtStats* stats) {
   if (query_labels.empty()) {
     return Status::Invalid("query must have at least one edge");
   }
-  PHOM_ASSIGN_OR_RETURN(DownwardForest forest,
-                        BuildDownwardForest(instance.graph()));
-  const DiGraph& g = instance.graph();
+  const Result<DownwardForest>& compiled_forest = instance.forest();
+  if (!compiled_forest.ok()) return compiled_forest.status();
+  const DownwardForest& forest = *compiled_forest;
+  const DiGraph& g = instance.graph().graph();
   uint32_t m = static_cast<uint32_t>(query_labels.size());
   size_t match_count = 0;
   std::vector<bool> match = MatchEnds(query_labels, g, forest, &match_count);
@@ -166,7 +168,7 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
   }
 
   using Cell = typename DwtCells<Num>::Cell;
-  DwtCells<Num> cells(instance.probs());
+  DwtCells<Num> cells(instance.probs<Num>());
   std::vector<std::vector<Cell>> f(n);
   std::vector<Cell> absent;  // per spine child: absent weight · f[c][0]
   for (size_t idx = forest.bfs_order.size(); idx-- > 0;) {
@@ -273,11 +275,11 @@ Result<Num> SolveUnlabeledOnDwtForestT(const DiGraph& query,
 }
 
 template Result<Rational> SolvePathOnDwtForestT<Rational>(
-    const std::vector<LabelId>&, const ProbGraph&, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
 template Result<double> SolvePathOnDwtForestT<double>(
-    const std::vector<LabelId>&, const ProbGraph&, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
 template Result<IntervalDouble> SolvePathOnDwtForestT<IntervalDouble>(
-    const std::vector<LabelId>&, const ProbGraph&, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
 template Result<Rational> SolvePathOnDwtForestViaLineageT<Rational>(
     const std::vector<LabelId>&, const ProbGraph&, MonotoneDnf*, DwtStats*);
 template Result<double> SolvePathOnDwtForestViaLineageT<double>(

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/core/compiled.h"
 #include "src/graph/prob_graph.h"
 #include "src/lineage/dnf.h"
 #include "src/util/numeric.h"
@@ -46,10 +47,21 @@ struct DwtStats {
 };
 
 /// Pr(1WP query with labels `query_labels` ⇝ instance), instance ∈ ⊔DWT
-/// (a forest where every vertex has in-degree <= 1). Requires >= 1 label.
+/// (a forest where every vertex has in-degree <= 1), read from the
+/// instance's compiled downward forest and probabilities (compiled.h).
+/// Requires >= 1 label.
 template <class Num>
 Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
-                                  const ProbGraph& instance, DwtStats* stats);
+                                  const CompiledComponent& instance,
+                                  DwtStats* stats);
+
+/// Same, compiling `instance` for this one call.
+template <class Num>
+Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
+                                  const ProbGraph& instance, DwtStats* stats) {
+  return SolvePathOnDwtForestT<Num>(query_labels, CompiledComponent(instance),
+                                    stats);
+}
 
 /// Same value via the explicit β-acyclic DNF lineage + Shannon engine.
 /// `lineage_out`, if non-null, receives the DNF over instance edge ids.
@@ -66,11 +78,11 @@ Result<Num> SolveUnlabeledOnDwtForestT(const DiGraph& query,
                                        DwtStats* stats);
 
 extern template Result<Rational> SolvePathOnDwtForestT<Rational>(
-    const std::vector<LabelId>&, const ProbGraph&, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
 extern template Result<double> SolvePathOnDwtForestT<double>(
-    const std::vector<LabelId>&, const ProbGraph&, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
 extern template Result<IntervalDouble> SolvePathOnDwtForestT<IntervalDouble>(
-    const std::vector<LabelId>&, const ProbGraph&, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
 extern template Result<Rational> SolvePathOnDwtForestViaLineageT<Rational>(
     const std::vector<LabelId>&, const ProbGraph&, MonotoneDnf*, DwtStats*);
 extern template Result<double> SolvePathOnDwtForestViaLineageT<double>(

@@ -68,10 +68,15 @@ struct StateSlot {
 /// without materializing it: every sum and product happens in the order
 /// DnnfProbabilityT evaluates the gates, so the answers are bit-identical on
 /// every backend, and `stats` counts the gates the circuit would have.
+///
+/// `edge_probs` are the polytree's edge probabilities in `Num`; an edge's
+/// node reads its source edge's, and ε-nodes are One(), which is what
+/// From(1) gives on every backend.
 template <class Num>
 Num RunProbability(uint32_t m, const EncodedPolytree& tree,
-                   PolytreeStats* stats) {
+                   const std::vector<Num>& edge_probs, PolytreeStats* stats) {
   using Ops = NumericOps<Num>;
+  const Num one = Ops::One();
   const LongestRunAutomaton automaton(m);
   const uint64_t states_bound = uint64_t{m + 1} * (m + 1) * (m + 1);
   SlotIndex index(states_bound);
@@ -108,10 +113,9 @@ Num RunProbability(uint32_t m, const EncodedPolytree& tree,
     // decides, whatever the backend.
     const bool can_be_present = !node.prob.is_zero();
     const bool can_be_absent = !node.prob.is_one();
-    // From(1) == One() on every backend; skipping it spares the ε-nodes
-    // the certified conversion.
-    const Num present =
-        node.prob.is_one() ? Ops::One() : Ops::From(node.prob);
+    const Num& present = node.source_edge == EncodedNode::kNoSourceEdge
+                             ? one
+                             : edge_probs[node.source_edge];
     const Num absent = can_be_absent ? Ops::Complement(present) : Ops::Zero();
     if (node.IsLeaf()) {
       if (can_be_present) add(automaton.LeafState(node.label, true), present);
@@ -183,25 +187,26 @@ Num RunProbability(uint32_t m, const EncodedPolytree& tree,
 
 template <class Num>
 Result<Num> SolvePathProbabilityOnPolytreeT(uint32_t m,
-                                            const ProbGraph& component,
+                                            const CompiledComponent& component,
                                             PolytreeStats* stats) {
   using Ops = NumericOps<Num>;
   if (m == 0) return Ops::One();
-  if (component.num_edges() == 0) return Ops::Zero();
+  if (component.graph().num_edges() == 0) return Ops::Zero();
   if (m > kMaxPathLength) {
     return Status::Invalid(
         "polytree solver: path length " + std::to_string(m) +
         " exceeds the automaton's 32-bit state ids (m <= " +
         std::to_string(kMaxPathLength) + ")");
   }
-  PHOM_ASSIGN_OR_RETURN(EncodedPolytree tree, EncodePolytree(component));
-  return RunProbability<Num>(m, tree, stats);
+  const Result<EncodedPolytree>& tree = component.polytree();
+  if (!tree.ok()) return tree.status();
+  return RunProbability<Num>(m, *tree, component.probs<Num>(), stats);
 }
 
 template <class Num>
-Result<Num> SolveDwtQueryOnPolytreeForestT(
-    const DiGraph& query, const std::vector<ComponentView>& components,
-    PolytreeStats* stats) {
+Result<Num> SolveDwtQueryOnPolytreeForestT(const DiGraph& query,
+                                           const ProbGraph& instance,
+                                           PolytreeStats* stats) {
   using Ops = NumericOps<Num>;
   Classification qc = Classify(query);
   if (!qc.all_dwt) {
@@ -217,7 +222,7 @@ Result<Num> SolveDwtQueryOnPolytreeForestT(
 
   // Lemma 3.7 across components; EncodePolytree rejects a non-polytree one.
   Num none = Ops::One();
-  for (const ComponentView& comp : components) {
+  for (const ComponentView& comp : SplitComponents(instance)) {
     PHOM_ASSIGN_OR_RETURN(
         Num p, SolvePathProbabilityOnPolytreeT<Num>(m, comp.graph, stats));
     none *= Ops::Complement(p);
@@ -226,18 +231,20 @@ Result<Num> SolveDwtQueryOnPolytreeForestT(
 }
 
 template Result<Rational> SolvePathProbabilityOnPolytreeT<Rational>(
-    uint32_t, const ProbGraph&, PolytreeStats*);
+    uint32_t, const CompiledComponent&, PolytreeStats*);
 template Result<double> SolvePathProbabilityOnPolytreeT<double>(
-    uint32_t, const ProbGraph&, PolytreeStats*);
+    uint32_t, const CompiledComponent&, PolytreeStats*);
 template Result<IntervalDouble>
-SolvePathProbabilityOnPolytreeT<IntervalDouble>(uint32_t, const ProbGraph&,
+SolvePathProbabilityOnPolytreeT<IntervalDouble>(uint32_t,
+                                                const CompiledComponent&,
                                                 PolytreeStats*);
 template Result<Rational> SolveDwtQueryOnPolytreeForestT<Rational>(
-    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
+    const DiGraph&, const ProbGraph&, PolytreeStats*);
 template Result<double> SolveDwtQueryOnPolytreeForestT<double>(
-    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
+    const DiGraph&, const ProbGraph&, PolytreeStats*);
 template Result<IntervalDouble>
-SolveDwtQueryOnPolytreeForestT<IntervalDouble>(
-    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
+SolveDwtQueryOnPolytreeForestT<IntervalDouble>(const DiGraph&,
+                                               const ProbGraph&,
+                                               PolytreeStats*);
 
 }  // namespace phom

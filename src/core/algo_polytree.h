@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/core/compiled.h"
 #include "src/graph/prob_graph.h"
 #include "src/util/numeric.h"
 #include "src/util/rational.h"
@@ -40,45 +41,49 @@ struct PolytreeStats {
 };
 
 /// Pr(the world contains a directed path of m >= 1 edges) for a single
-/// polytree component, in the numeric backend of `Num`. Status::Invalid if
-/// `component` is not a polytree (EncodePolytree's check), or if it has
-/// edges and m > 1624, past which the automaton's (m + 1)^3 state ids no
-/// longer fit in 32 bits.
+/// polytree component, in the numeric backend of `Num`, read from the
+/// component's compiled encoding and probabilities (compiled.h).
+/// Status::Invalid if the component is not a polytree (EncodePolytree's
+/// check), or if it has edges and m > 1624, past which the automaton's
+/// (m + 1)^3 state ids no longer fit in 32 bits.
+template <class Num>
+Result<Num> SolvePathProbabilityOnPolytreeT(uint32_t m,
+                                            const CompiledComponent& component,
+                                            PolytreeStats* stats);
+
+/// Same, compiling `component` for this one call.
 template <class Num>
 Result<Num> SolvePathProbabilityOnPolytreeT(uint32_t m,
                                             const ProbGraph& component,
-                                            PolytreeStats* stats);
+                                            PolytreeStats* stats) {
+  return SolvePathProbabilityOnPolytreeT<Num>(m, CompiledComponent(component),
+                                              stats);
+}
 
-/// Full Props. 5.4/5.5 solver: unlabeled ⊔DWT query on a ⊔PT instance given
-/// by its components (SplitComponents, or InstanceContext::components).
-template <class Num>
-Result<Num> SolveDwtQueryOnPolytreeForestT(
-    const DiGraph& query, const std::vector<ComponentView>& components,
-    PolytreeStats* stats);
-
-/// Same, on the whole instance: splits it once and delegates.
+/// Full Props. 5.4/5.5 solver: unlabeled ⊔DWT query on a ⊔PT instance,
+/// split into components here (the unlabeled-polytree engine runs the same
+/// per-component kernel on its context's compiled components).
 template <class Num>
 Result<Num> SolveDwtQueryOnPolytreeForestT(const DiGraph& query,
                                            const ProbGraph& instance,
-                                           PolytreeStats* stats) {
-  return SolveDwtQueryOnPolytreeForestT<Num>(query, SplitComponents(instance),
-                                             stats);
-}
+                                           PolytreeStats* stats);
 
 extern template Result<Rational> SolvePathProbabilityOnPolytreeT<Rational>(
-    uint32_t, const ProbGraph&, PolytreeStats*);
+    uint32_t, const CompiledComponent&, PolytreeStats*);
 extern template Result<double> SolvePathProbabilityOnPolytreeT<double>(
-    uint32_t, const ProbGraph&, PolytreeStats*);
+    uint32_t, const CompiledComponent&, PolytreeStats*);
 extern template Result<IntervalDouble>
-SolvePathProbabilityOnPolytreeT<IntervalDouble>(uint32_t, const ProbGraph&,
+SolvePathProbabilityOnPolytreeT<IntervalDouble>(uint32_t,
+                                                const CompiledComponent&,
                                                 PolytreeStats*);
 extern template Result<Rational> SolveDwtQueryOnPolytreeForestT<Rational>(
-    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
+    const DiGraph&, const ProbGraph&, PolytreeStats*);
 extern template Result<double> SolveDwtQueryOnPolytreeForestT<double>(
-    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
+    const DiGraph&, const ProbGraph&, PolytreeStats*);
 extern template Result<IntervalDouble>
-SolveDwtQueryOnPolytreeForestT<IntervalDouble>(
-    const DiGraph&, const std::vector<ComponentView>&, PolytreeStats*);
+SolveDwtQueryOnPolytreeForestT<IntervalDouble>(const DiGraph&,
+                                               const ProbGraph&,
+                                               PolytreeStats*);
 
 /// Exact-backend conveniences (the historical entry points).
 inline Result<Rational> SolvePathProbabilityOnPolytree(

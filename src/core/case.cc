@@ -72,10 +72,27 @@ std::string HardnessCitation(bool unlabeled, const Classification& query,
 
 }  // namespace
 
+InstanceContext::InstanceContext(std::vector<ComponentView> split)
+    : components(std::move(split)), compiled_(components.size()) {
+  component_classes.reserve(components.size());
+  for (size_t i = 0; i < components.size(); ++i) {
+    component_classes.push_back(Classify(components[i].graph.graph()));
+    compiled_[i].emplace(components[i].graph);
+  }
+  instance_class = ClassifyUnion(component_classes);
+}
+
 const ProbGraph& InstanceContext::instance() const {
-  std::call_once(instance_once_,
-                 [this] { instance_ = MergeComponents(components); });
+  std::call_once(instance_once_, [this] {
+    instance_ = MergeComponents(components);
+    instance_compiled_ = std::make_unique<CompiledComponent>(instance_);
+  });
   return instance_;
+}
+
+const CompiledComponent& InstanceContext::compiled_instance() const {
+  instance();  // builds instance_compiled_ too
+  return *instance_compiled_;
 }
 
 size_t InstanceContext::NumUncertainEdges() const {
@@ -93,14 +110,8 @@ const ProbGraph& PreparedProblem::instance() const {
 
 std::shared_ptr<const InstanceContext> BuildInstanceContext(
     const ProbGraph& instance, const std::vector<LabelId>& labels) {
-  auto ctx = std::make_shared<InstanceContext>();
-  ctx->components = SplitComponents(instance, labels);
-  ctx->component_classes.reserve(ctx->components.size());
-  for (const ComponentView& comp : ctx->components) {
-    ctx->component_classes.push_back(Classify(comp.graph.graph()));
-  }
-  ctx->instance_class = ClassifyUnion(ctx->component_classes);
-  return ctx;
+  return std::make_shared<InstanceContext>(
+      SplitComponents(instance, labels));
 }
 
 PreparedProblem PrepareProblem(const DiGraph& query,

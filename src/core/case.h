@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/compiled.h"
 #include "src/graph/classify.h"
 #include "src/graph/graded.h"
 #include "src/graph/prob_graph.h"
@@ -39,7 +40,7 @@ enum class Algorithm {
   kConnectedOn2wp,         ///< Prop. 4.11 (X-property + β-acyclic interval DNF)
   kPathOnDwt,              ///< Prop. 4.10 (tree-KMP matches + run-length DP)
   kUnlabeledDwtInstance,   ///< Prop. 3.6 (level-mapping collapse, then DWT DP)
-  kUnlabeledPolytree,      ///< Props. 5.4/5.5 (tree automaton → d-DNNF)
+  kUnlabeledPolytree,      ///< Props. 5.4/5.5 (tree automaton run)
   kPerComponent,           ///< mixed instance: per-component algorithms + Lemma 3.7
   kFallback,               ///< #P-hard cell: exact exponential solver
   kLiftedUcq,              ///< UCQ input: Dalvi–Suciu lifted plan (src/lifted/)
@@ -76,16 +77,25 @@ struct CaseAnalysis {
 /// and `instance_class` is derived from `component_classes` (ClassifyUnion)
 /// without classifying the whole graph.
 ///
-/// Lazy: the label-restricted whole instance, reassembled from `components`
-/// by MergeComponents on the first instance() call. Only whole-instance
-/// engines (world enumeration, match lineage, Monte Carlo, the unlabeled-DWT
-/// kernel) and the lifted UCQ planner read it; componentwise solves never
-/// build it.
+/// Lazy, built by the first solve that reads them (on the worker that runs
+/// it, never in the session's Prepare):
+///  * the label-restricted whole instance, reassembled from `components` by
+///    MergeComponents on the first instance() call. Only whole-instance
+///    engines (world enumeration, match lineage, Monte Carlo, the
+///    unlabeled-DWT kernel) and the lifted UCQ planner read it;
+///    componentwise solves never build it.
+///  * the compiled kernel inputs (compiled.h) of every component and of the
+///    whole instance: polytree encoding, downward forest and per-backend
+///    probabilities, each behind its own once-flag.
 ///
-/// Thread safety: the eager fields are immutable once built, and the lazy
-/// instance is built exactly once under std::call_once, so one const context
-/// may be read from any number of threads.
+/// Thread safety: the eager fields are immutable once built, and every lazy
+/// part is built exactly once under std::call_once, so one const context may
+/// be read from any number of threads; workers that fan out over components
+/// compile different components in parallel.
 struct InstanceContext {
+  /// Classifies each of `split` (the instance's components).
+  explicit InstanceContext(std::vector<ComponentView> split);
+
   Classification instance_class;  ///< of the restricted instance
   std::vector<ComponentView> components;
   std::vector<Classification> component_classes;  ///< aligned with components
@@ -95,9 +105,20 @@ struct InstanceContext {
   /// Its number of uncertain edges, summed over `components`.
   size_t NumUncertainEdges() const;
 
+  /// Component i's compiled kernel inputs.
+  const CompiledComponent& compiled(size_t i) const { return *compiled_[i]; }
+  /// instance()'s, for the kernels that read the whole instance.
+  const CompiledComponent& compiled_instance() const;
+
  private:
   mutable std::once_flag instance_once_;
   mutable ProbGraph instance_;
+  /// Made with instance_, so a context that never reads the whole instance
+  /// does not carry it.
+  mutable std::unique_ptr<CompiledComponent> instance_compiled_;
+  /// One per component; optional only because a CompiledComponent cannot be
+  /// moved into a vector.
+  std::vector<std::optional<CompiledComponent>> compiled_;
 };
 
 /// Builds the context for `labels` (the query's used labels, sorted).

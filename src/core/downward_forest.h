@@ -8,7 +8,8 @@
 
 /// \file downward_forest.h
 /// Internal to the ⊔DWT kernels (algo_dwt.cc, path_pattern.cc): the
-/// downward-forest check and BFS layout both run before their DPs.
+/// downward-forest check and BFS layout both run before their DPs. The
+/// Prop. 4.10 DP reads it compiled once per component (compiled.h).
 
 namespace phom {
 

@@ -59,10 +59,11 @@ FallbackOptions FallbackWithCancel(const SolveOptions& options) {
 /// on #P-hard components.
 template <class Num>
 Result<Num> SolveComponentT(const DiGraph& query, bool query_is_1wp,
-                            bool unlabeled, const ProbGraph& component,
+                            bool unlabeled, const CompiledComponent& compiled,
                             const Classification& cc,
                             const SolveOptions& options, SolveStats* stats) {
   using Ops = NumericOps<Num>;
+  const ProbGraph& component = compiled.graph();
   if (component.num_edges() == 0) return Ops::Zero();
 
   if (cc.is_2wp) {
@@ -100,7 +101,7 @@ Result<Num> SolveComponentT(const DiGraph& query, bool query_is_1wp,
         options.dwt_via_lineage
             ? SolvePathOnDwtForestViaLineageT<Num>(pattern, component,
                                                    nullptr, &s)
-            : SolvePathOnDwtForestT<Num>(pattern, component, &s);
+            : SolvePathOnDwtForestT<Num>(pattern, compiled, &s);
     if (result.ok()) stats->match_ends += s.match_ends;
     return result;
   }
@@ -109,7 +110,7 @@ Result<Num> SolveComponentT(const DiGraph& query, bool query_is_1wp,
     PolytreeStats s;
     PHOM_ASSIGN_OR_RETURN(
         Num p, SolvePathProbabilityOnPolytreeT<Num>(
-                   static_cast<uint32_t>(query.num_edges()), component, &s));
+                   static_cast<uint32_t>(query.num_edges()), compiled, &s));
     stats->circuit_gates += s.circuit_gates;
     return p;
   }
@@ -144,8 +145,8 @@ Result<Num> SolvePerComponentT(const PreparedProblem& prepared,
     ++stats->components;
     PHOM_ASSIGN_OR_RETURN(
         Num p, SolveComponentT<Num>(prepared.query, query_is_1wp, unlabeled,
-                                    ctx.components[i].graph,
-                                    ctx.component_classes[i], options, stats));
+                                    ctx.compiled(i), ctx.component_classes[i],
+                                    options, stats));
     none *= Ops::Complement(p);
   }
   return Ops::Complement(none);
@@ -203,13 +204,17 @@ class UnlabeledDwtInstanceEngine : public Engine {
   Result<EngineAnswer> Solve(const PreparedProblem& prepared,
                              const SolveOptions& options,
                              SolveStats* stats) const override {
+    // PrepareProblem (step 3) collapsed the query to →^m over its one
+    // label, or answered a non-graded one without an engine (Prop. 3.6).
+    const std::vector<LabelId> pattern(prepared.query.num_edges(),
+                                       prepared.query.edge(0).label);
     return RunInBackend(options.numeric, [&](auto tag) -> Result<
                                               typename decltype(tag)::type> {
       using Num = typename decltype(tag)::type;
       DwtStats s;
-      PHOM_ASSIGN_OR_RETURN(Num p, SolveUnlabeledOnDwtForestT<Num>(
-                                       prepared.query, prepared.instance(),
-                                       &s));
+      PHOM_ASSIGN_OR_RETURN(
+          Num p, SolvePathOnDwtForestT<Num>(
+                     pattern, prepared.context->compiled_instance(), &s));
       stats->match_ends += s.match_ends;
       return p;
     });
@@ -229,17 +234,24 @@ class PolytreeEngine : public Engine {
   Result<EngineAnswer> Solve(const PreparedProblem& prepared,
                              const SolveOptions& options,
                              SolveStats* stats) const override {
-    // Prop. 5.5 collapse + Prop. 5.4 per polytree component + Lemma 3.7,
-    // all inside the kernel (Applies guarantees its ⊔DWT precondition).
+    // PrepareProblem (step 3) collapsed the unlabeled ⊔DWT query to →^m
+    // (Prop. 5.5); Prop. 5.4 runs per compiled component, combined by
+    // Lemma 3.7.
+    const uint32_t m = static_cast<uint32_t>(prepared.query.num_edges());
+    const InstanceContext& ctx = *prepared.context;
     return RunInBackend(options.numeric, [&](auto tag) -> Result<
                                               typename decltype(tag)::type> {
       using Num = typename decltype(tag)::type;
+      using Ops = NumericOps<Num>;
       PolytreeStats s;
-      PHOM_ASSIGN_OR_RETURN(
-          Num p, SolveDwtQueryOnPolytreeForestT<Num>(
-                     prepared.query, prepared.context->components, &s));
+      Num none = Ops::One();
+      for (size_t i = 0; i < ctx.components.size(); ++i) {
+        PHOM_ASSIGN_OR_RETURN(
+            Num p, SolvePathProbabilityOnPolytreeT<Num>(m, ctx.compiled(i), &s));
+        none *= Ops::Complement(p);
+      }
       stats->circuit_gates += s.circuit_gates;
-      return p;
+      return Ops::Complement(none);
     });
   }
 };
@@ -500,7 +512,7 @@ Result<SolveResult> SolvePreparedComponent(const PreparedProblem& prepared,
       RunInBackend(options.numeric, [&](auto tag) {
         using Num = typename decltype(tag)::type;
         return SolveComponentT<Num>(prepared.query, query_is_1wp, unlabeled,
-                                    ctx.components[component_index].graph,
+                                    ctx.compiled(component_index),
                                     ctx.component_classes[component_index],
                                     options, &out.stats);
       }));

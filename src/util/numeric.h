@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -46,15 +45,6 @@ inline const char* ToString(NumericBackend b) {
     case NumericBackend::kIntervalDouble: return "interval-double";
   }
   PHOM_CHECK_MSG(false, "unknown NumericBackend value");
-}
-
-/// Inverse of ToString — for persistence JSON and bench/CLI flags.
-inline Result<NumericBackend> ParseNumericBackend(std::string_view text) {
-  if (text == "exact") return NumericBackend::kExact;
-  if (text == "double") return NumericBackend::kDouble;
-  if (text == "interval-double") return NumericBackend::kIntervalDouble;
-  return Status::Invalid(std::string("unknown numeric backend: ") +
-                         std::string(text));
 }
 
 template <class Num>
