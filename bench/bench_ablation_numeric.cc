@@ -71,6 +71,29 @@ void BM_Numeric2wpDouble(benchmark::State& state) {
 BENCHMARK(BM_Numeric2wpDouble)->RangeMultiplier(2)->Range(64, 512)
     ->Unit(benchmark::kMillisecond)->Complexity();
 
+// The same solves through one EvalSession: after the first, the context's
+// compiled path order, path edges and double probabilities are reused, so
+// each iteration is the window sweep and the interval DP alone
+// (compiled.h). The one-shot row above compiles on every solve.
+void BM_Numeric2wpDoubleWarmContext(benchmark::State& state) {
+  Rng rng(91);  // same seed: identical inputs
+  ProbGraph h = AttachRandomProbabilities(
+      &rng, ProperShape(Shape::k2wp, state.range(0), 1, &rng), 4);
+  DiGraph q = ProperShape(Shape::k2wp, 4, 1, &rng);
+  EvalSession session(h, WithBackend(NumericBackend::kDouble,
+                                     "connected-on-2wp"));
+  {
+    Result<SolveResult> r = session.Solve(q);
+    PHOM_CHECK_MSG(r.ok(), r.status().ToString());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.Solve(q));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_Numeric2wpDoubleWarmContext)->RangeMultiplier(2)
+    ->Range(64, 512)->Unit(benchmark::kMillisecond)->Complexity();
+
 void BM_Numeric2wpInterval(benchmark::State& state) {
   Rng rng(91);  // same seed: identical inputs
   ProbGraph h = AttachRandomProbabilities(

@@ -212,14 +212,15 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
 
 template <class Num>
 Result<Num> SolvePathOnDwtForestViaLineageT(
-    const std::vector<LabelId>& query_labels, const ProbGraph& instance,
+    const std::vector<LabelId>& query_labels, const CompiledComponent& instance,
     MonotoneDnf* lineage_out, DwtStats* stats) {
   if (query_labels.empty()) {
     return Status::Invalid("query must have at least one edge");
   }
-  PHOM_ASSIGN_OR_RETURN(DownwardForest forest,
-                        BuildDownwardForest(instance.graph()));
-  const DiGraph& g = instance.graph();
+  const Result<DownwardForest>& compiled_forest = instance.forest();
+  if (!compiled_forest.ok()) return compiled_forest.status();
+  const DownwardForest& forest = *compiled_forest;
+  const DiGraph& g = instance.graph().graph();
   uint32_t m = static_cast<uint32_t>(query_labels.size());
   size_t match_count = 0;
   std::vector<bool> match = MatchEnds(query_labels, g, forest, &match_count);
@@ -248,9 +249,8 @@ Result<Num> SolvePathOnDwtForestViaLineageT(
   }
   ShannonOptions options;
   options.variable_order = std::move(order);
-  BackendProbs<Num> probs(instance.probs());
-  Result<Num> result =
-      DnfProbabilityShannonT<Num>(lineage, *probs, options, nullptr);
+  Result<Num> result = DnfProbabilityShannonT<Num>(
+      lineage, instance.probs<Num>(), options, nullptr);
   if (lineage_out != nullptr) *lineage_out = std::move(lineage);
   return result;
 }
@@ -281,13 +281,15 @@ template Result<double> SolvePathOnDwtForestT<double>(
 template Result<IntervalDouble> SolvePathOnDwtForestT<IntervalDouble>(
     const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
 template Result<Rational> SolvePathOnDwtForestViaLineageT<Rational>(
-    const std::vector<LabelId>&, const ProbGraph&, MonotoneDnf*, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, MonotoneDnf*,
+    DwtStats*);
 template Result<double> SolvePathOnDwtForestViaLineageT<double>(
-    const std::vector<LabelId>&, const ProbGraph&, MonotoneDnf*, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, MonotoneDnf*,
+    DwtStats*);
 template Result<IntervalDouble>
 SolvePathOnDwtForestViaLineageT<IntervalDouble>(const std::vector<LabelId>&,
-                                                const ProbGraph&, MonotoneDnf*,
-                                                DwtStats*);
+                                                const CompiledComponent&,
+                                                MonotoneDnf*, DwtStats*);
 template Result<Rational> SolveUnlabeledOnDwtForestT<Rational>(
     const DiGraph&, const ProbGraph&, DwtStats*);
 template Result<double> SolveUnlabeledOnDwtForestT<double>(

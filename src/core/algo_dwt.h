@@ -63,12 +63,22 @@ Result<Num> SolvePathOnDwtForestT(const std::vector<LabelId>& query_labels,
                                     stats);
 }
 
-/// Same value via the explicit β-acyclic DNF lineage + Shannon engine.
-/// `lineage_out`, if non-null, receives the DNF over instance edge ids.
+/// Same value via the explicit β-acyclic DNF lineage + Shannon engine, read
+/// from the same compiled forest and probabilities. `lineage_out`, if
+/// non-null, receives the DNF over instance edge ids.
+template <class Num>
+Result<Num> SolvePathOnDwtForestViaLineageT(
+    const std::vector<LabelId>& query_labels, const CompiledComponent& instance,
+    MonotoneDnf* lineage_out, DwtStats* stats);
+
+/// Same, compiling `instance` for this one call.
 template <class Num>
 Result<Num> SolvePathOnDwtForestViaLineageT(
     const std::vector<LabelId>& query_labels, const ProbGraph& instance,
-    MonotoneDnf* lineage_out, DwtStats* stats);
+    MonotoneDnf* lineage_out, DwtStats* stats) {
+  return SolvePathOnDwtForestViaLineageT<Num>(
+      query_labels, CompiledComponent(instance), lineage_out, stats);
+}
 
 /// Prop. 3.6: arbitrary unlabeled query on a ⊔DWT instance. Grades the
 /// query (probability 0 if not graded), collapses it to →^m, and delegates.
@@ -84,13 +94,15 @@ extern template Result<double> SolvePathOnDwtForestT<double>(
 extern template Result<IntervalDouble> SolvePathOnDwtForestT<IntervalDouble>(
     const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
 extern template Result<Rational> SolvePathOnDwtForestViaLineageT<Rational>(
-    const std::vector<LabelId>&, const ProbGraph&, MonotoneDnf*, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, MonotoneDnf*,
+    DwtStats*);
 extern template Result<double> SolvePathOnDwtForestViaLineageT<double>(
-    const std::vector<LabelId>&, const ProbGraph&, MonotoneDnf*, DwtStats*);
+    const std::vector<LabelId>&, const CompiledComponent&, MonotoneDnf*,
+    DwtStats*);
 extern template Result<IntervalDouble>
 SolvePathOnDwtForestViaLineageT<IntervalDouble>(const std::vector<LabelId>&,
-                                                const ProbGraph&, MonotoneDnf*,
-                                                DwtStats*);
+                                                const CompiledComponent&,
+                                                MonotoneDnf*, DwtStats*);
 extern template Result<Rational> SolveUnlabeledOnDwtForestT<Rational>(
     const DiGraph&, const ProbGraph&, DwtStats*);
 extern template Result<double> SolveUnlabeledOnDwtForestT<double>(

@@ -1,5 +1,7 @@
 #pragma once
 
+#include "src/core/compiled.h"
+#include "src/graph/classify.h"
 #include "src/graph/prob_graph.h"
 #include "src/lineage/dnf.h"
 #include "src/util/numeric.h"
@@ -30,22 +32,41 @@ struct TwoWayPathStats {
   size_t minimal_intervals = 0;
 };
 
-/// Pr(query ⇝ component) for a connected query with >= 1 edge on a single
-/// 2WP component, in the numeric backend of `Num`. `lineage_out`, if
-/// non-null, receives the interval DNF over the component's edge ids (for
-/// β-acyclicity checks and ablations).
+/// Pr(query ⇝ component) on a single 2WP component, read from its compiled
+/// path order, path edges and probabilities (compiled.h), in the numeric
+/// backend of `Num`. The query must be connected with >= 1 edge; the engines
+/// know that from the prepared analysis, so this body does not re-check it.
+/// `lineage_out`, if non-null, receives the interval DNF over the
+/// component's edge ids (for β-acyclicity checks and ablations).
+template <class Num>
+Result<Num> SolveConnectedOn2wpComponentT(const DiGraph& query,
+                                          const CompiledComponent& component,
+                                          TwoWayPathStats* stats,
+                                          MonotoneDnf* lineage_out);
+
+/// Same, compiling `component` for this one call, with the query's
+/// precondition checked after the component's.
 template <class Num>
 Result<Num> SolveConnectedOn2wpComponentT(const DiGraph& query,
                                           const ProbGraph& component,
                                           TwoWayPathStats* stats,
-                                          MonotoneDnf* lineage_out);
+                                          MonotoneDnf* lineage_out) {
+  const CompiledComponent compiled(component);
+  PHOM_RETURN_NOT_OK(compiled.two_way_path().status());
+  if (!IsConnected(query) || query.num_edges() == 0) {
+    return Status::Invalid("query must be connected with at least one edge");
+  }
+  return SolveConnectedOn2wpComponentT<Num>(query, compiled, stats,
+                                            lineage_out);
+}
 
 extern template Result<Rational> SolveConnectedOn2wpComponentT<Rational>(
-    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*);
+    const DiGraph&, const CompiledComponent&, TwoWayPathStats*, MonotoneDnf*);
 extern template Result<double> SolveConnectedOn2wpComponentT<double>(
-    const DiGraph&, const ProbGraph&, TwoWayPathStats*, MonotoneDnf*);
+    const DiGraph&, const CompiledComponent&, TwoWayPathStats*, MonotoneDnf*);
 extern template Result<IntervalDouble>
-SolveConnectedOn2wpComponentT<IntervalDouble>(const DiGraph&, const ProbGraph&,
+SolveConnectedOn2wpComponentT<IntervalDouble>(const DiGraph&,
+                                              const CompiledComponent&,
                                               TwoWayPathStats*, MonotoneDnf*);
 
 /// Exact-backend convenience (the historical entry point).

@@ -201,6 +201,7 @@ PreparedProblem PrepareProblemWithProvider(
 
   out.analysis.query_class = qc;
   out.analysis.instance_class = ic;
+  if (qc.is_1wp) out.query_path_labels = OneWayPathLabels(q);
   out.analysis.cell = std::string(unlabeled ? "PHom!L(" : "PHomL(") +
                       TableClassLabel(qc) + ", " + TableClassLabel(ic) + ")";
 

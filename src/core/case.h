@@ -139,6 +139,9 @@ struct PreparedProblem {
   /// non-graded-query-on-forest case of Prop. 3.6).
   std::optional<Rational> immediate;
   CaseAnalysis analysis;
+  /// OneWayPathLabels(query) when analysis.query_class.is_1wp, else empty:
+  /// the pattern of the Prop. 4.10 DWT kernels.
+  std::vector<LabelId> query_path_labels = {};
   /// Non-null only for UCQ inputs with >= 2 normalized disjuncts (built by
   /// lifted::PrepareUcq; a UCQ that normalizes to one disjunct takes the
   /// plain single-CQ path above, bit-identically). When set, `query` holds

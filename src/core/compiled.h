@@ -7,6 +7,7 @@
 
 #include "src/automata/binary_encoding.h"
 #include "src/core/downward_forest.h"
+#include "src/graph/classify.h"
 #include "src/graph/prob_graph.h"
 #include "src/util/numeric.h"
 #include "src/util/result.h"
@@ -14,9 +15,10 @@
 /// \file compiled.h
 /// The kernel inputs that depend on an instance component alone: the
 /// Appendix C encoding read by the Prop. 5.4 automaton run, the downward
-/// forest read by the Prop. 4.10 DP, and the edge probabilities in each
-/// backend's number type. The paper keeps the same split: the instance is
-/// compiled once, and the query only fixes m.
+/// forest read by the Prop. 4.10 DP, the path order and path edges read by
+/// the Prop. 4.11 sweep, and the edge probabilities in each backend's number
+/// type. The paper keeps the same split: the instance is compiled once, and
+/// the query only fixes m.
 ///
 /// An InstanceContext (case.h) owns one CompiledComponent per component and
 /// one for its whole instance(), so every solve after the first reads them
@@ -41,6 +43,13 @@ class Lazy {
   mutable std::optional<T> value_;
 };
 
+/// A 2WP's vertices in path order and its path edges: edges[k] joins
+/// order[k] and order[k + 1].
+struct TwoWayPath {
+  std::vector<VertexId> order;
+  std::vector<EdgeId> edges;
+};
+
 /// One graph's compiled kernel inputs, each built on its first use behind
 /// its own once-flag, so a component served only by one kernel and one
 /// backend compiles only what those read. Errors are compiled too: a
@@ -60,6 +69,19 @@ class CompiledComponent {
   /// BuildDownwardForest(graph().graph()).
   const Result<DownwardForest>& forest() const {
     return forest_.Get([this] { return BuildDownwardForest(graph_->graph()); });
+  }
+
+  /// TwoWayPathOrder(graph().graph()) with the path edges, or the 2WP
+  /// kernel's Status on a graph that is not a 2WP.
+  const Result<TwoWayPath>& two_way_path() const {
+    return two_way_path_.Get([this]() -> Result<TwoWayPath> {
+      if (!IsTwoWayPath(graph_->graph())) {
+        return Status::Invalid("SolveConnectedOn2wpComponent requires a 2WP");
+      }
+      TwoWayPath path;
+      path.order = TwoWayPathOrder(graph_->graph(), &path.edges);
+      return path;
+    });
   }
 
   /// graph().probs() in the backend type `Num`. The exact backend
@@ -82,6 +104,7 @@ class CompiledComponent {
   const ProbGraph* graph_;
   Lazy<Result<EncodedPolytree>> polytree_;
   Lazy<Result<DownwardForest>> forest_;
+  Lazy<Result<TwoWayPath>> two_way_path_;
   Lazy<std::vector<double>> double_probs_;
   Lazy<std::vector<IntervalDouble>> interval_probs_;
 };

@@ -58,50 +58,54 @@ FallbackOptions FallbackWithCancel(const SolveOptions& options) {
 /// applicable algorithm per component class, exact exponential enumeration
 /// on #P-hard components.
 template <class Num>
-Result<Num> SolveComponentT(const DiGraph& query, bool query_is_1wp,
-                            bool unlabeled, const CompiledComponent& compiled,
+Result<Num> SolveComponentT(const PreparedProblem& prepared,
+                            const CompiledComponent& compiled,
                             const Classification& cc,
                             const SolveOptions& options, SolveStats* stats) {
   using Ops = NumericOps<Num>;
-  const ProbGraph& component = compiled.graph();
-  if (component.num_edges() == 0) return Ops::Zero();
+  const DiGraph& query = prepared.query;
+  const bool query_is_1wp = prepared.analysis.query_class.is_1wp;
+  const bool unlabeled = prepared.analysis.effective_unlabeled;
+  // Hard cells (Props. 4.1/4.4/4.5/5.6/5.1): exact fallback on this
+  // component.
+  auto fallback = [&]() -> Result<Num> {
+    ++stats->fallback_components;
+    FallbackStats fs;
+    PHOM_ASSIGN_OR_RETURN(
+        Num p, SolveByWorldEnumerationT<Num>(query, compiled,
+                                             FallbackWithCancel(options), &fs));
+    stats->worlds += fs.worlds;
+    return p;
+  };
+  if (compiled.graph().num_edges() == 0) return Ops::Zero();
 
   if (cc.is_2wp) {
     TwoWayPathStats s;
     PHOM_ASSIGN_OR_RETURN(Num p, SolveConnectedOn2wpComponentT<Num>(
-                                     query, component, &s, nullptr));
+                                     query, compiled, &s, nullptr));
     stats->hom_tests += s.hom_tests;
     stats->lineage_clauses += s.minimal_intervals;
     return p;
   }
 
   if (cc.is_dwt) {
-    std::vector<LabelId> pattern;
-    if (query_is_1wp) {
-      pattern = OneWayPathLabels(query);
-    } else if (unlabeled) {
+    const std::vector<LabelId>* pattern = &prepared.query_path_labels;
+    std::vector<LabelId> graded_pattern;
+    if (!query_is_1wp) {
+      if (!unlabeled) return fallback();
       // Prop. 3.6 applied to this component.
       GradedAnalysis graded = AnalyzeGraded(query);
       if (!graded.is_graded) return Ops::Zero();
-      pattern.assign(static_cast<size_t>(graded.difference_of_levels),
-                     query.UsedLabels()[0]);
-    } else {
-      // Hard cell (Props. 4.4/4.5): exact fallback on this component.
-      ++stats->fallback_components;
-      FallbackStats fs;
-      PHOM_ASSIGN_OR_RETURN(
-          Num p, SolveByWorldEnumerationT<Num>(query, component,
-                                               FallbackWithCancel(options),
-                                               &fs));
-      stats->worlds += fs.worlds;
-      return p;
+      graded_pattern.assign(static_cast<size_t>(graded.difference_of_levels),
+                            query.UsedLabels()[0]);
+      pattern = &graded_pattern;
     }
     DwtStats s;
     Result<Num> result =
         options.dwt_via_lineage
-            ? SolvePathOnDwtForestViaLineageT<Num>(pattern, component,
+            ? SolvePathOnDwtForestViaLineageT<Num>(*pattern, compiled,
                                                    nullptr, &s)
-            : SolvePathOnDwtForestT<Num>(pattern, compiled, &s);
+            : SolvePathOnDwtForestT<Num>(*pattern, compiled, &s);
     if (result.ok()) stats->match_ends += s.match_ends;
     return result;
   }
@@ -114,15 +118,7 @@ Result<Num> SolveComponentT(const DiGraph& query, bool query_is_1wp,
     stats->circuit_gates += s.circuit_gates;
     return p;
   }
-
-  // Hard cell (Props. 4.1 / 5.6 / 5.1): exact fallback on this component.
-  ++stats->fallback_components;
-  FallbackStats fs;
-  PHOM_ASSIGN_OR_RETURN(
-      Num p, SolveByWorldEnumerationT<Num>(query, component,
-                                           FallbackWithCancel(options), &fs));
-  stats->worlds += fs.worlds;
-  return p;
+  return fallback();
 }
 
 /// Lemma 3.7 over the cached component split.
@@ -132,8 +128,6 @@ Result<Num> SolvePerComponentT(const PreparedProblem& prepared,
                                SolveStats* stats) {
   using Ops = NumericOps<Num>;
   const InstanceContext& ctx = *prepared.context;
-  bool unlabeled = prepared.analysis.effective_unlabeled;
-  bool query_is_1wp = prepared.analysis.query_class.is_1wp;
   Num none = Ops::One();
   for (size_t i = 0; i < ctx.components.size(); ++i) {
     // The cooperative-interruption yield point (CancelToken, solver.h):
@@ -144,9 +138,8 @@ Result<Num> SolvePerComponentT(const PreparedProblem& prepared,
     }
     ++stats->components;
     PHOM_ASSIGN_OR_RETURN(
-        Num p, SolveComponentT<Num>(prepared.query, query_is_1wp, unlabeled,
-                                    ctx.compiled(i), ctx.component_classes[i],
-                                    options, stats));
+        Num p, SolveComponentT<Num>(prepared, ctx.compiled(i),
+                                    ctx.component_classes[i], options, stats));
     none *= Ops::Complement(p);
   }
   return Ops::Complement(none);
@@ -298,10 +291,9 @@ class FallbackEngine : public Engine {
       using Num = typename decltype(tag)::type;
       FallbackStats fs;
       PHOM_ASSIGN_OR_RETURN(
-          Num p, SolveByWorldEnumerationT<Num>(prepared.query,
-                                               prepared.instance(),
-                                               FallbackWithCancel(options),
-                                               &fs));
+          Num p, SolveByWorldEnumerationT<Num>(
+                     prepared.query, prepared.context->compiled_instance(),
+                     FallbackWithCancel(options), &fs));
       stats->worlds += fs.worlds;
       return p;
     });
@@ -319,14 +311,14 @@ class DwtLineageShannonEngine : public Engine {
   Result<EngineAnswer> Solve(const PreparedProblem& prepared,
                              const SolveOptions& options,
                              SolveStats* stats) const override {
-    std::vector<LabelId> pattern = OneWayPathLabels(prepared.query);
     return RunInBackend(options.numeric, [&](auto tag) -> Result<
                                               typename decltype(tag)::type> {
       using Num = typename decltype(tag)::type;
       DwtStats s;
       PHOM_ASSIGN_OR_RETURN(
           Num p, SolvePathOnDwtForestViaLineageT<Num>(
-                     pattern, prepared.instance(), nullptr, &s));
+                     prepared.query_path_labels,
+                     prepared.context->compiled_instance(), nullptr, &s));
       stats->match_ends += s.match_ends;
       return p;
     });
@@ -349,9 +341,9 @@ class MatchLineageEngine : public Engine {
       using Num = typename decltype(tag)::type;
       FallbackStats fs;
       PHOM_ASSIGN_OR_RETURN(
-          Num p, SolveByMatchLineageT<Num>(prepared.query,
-                                           prepared.instance(),
-                                           FallbackWithCancel(options), &fs));
+          Num p, SolveByMatchLineageT<Num>(
+                     prepared.query, prepared.context->compiled_instance(),
+                     FallbackWithCancel(options), &fs));
       stats->lineage_clauses += fs.matches;
       return p;
     });
@@ -502,8 +494,6 @@ Result<SolveResult> SolvePreparedComponent(const PreparedProblem& prepared,
       dispatch.forced ? engine->algorithm() : prepared.analysis.algorithm;
   out.stats.engine = std::string(engine->name());
   const InstanceContext& ctx = *prepared.context;
-  const bool unlabeled = prepared.analysis.effective_unlabeled;
-  const bool query_is_1wp = prepared.analysis.query_class.is_1wp;
   ++out.stats.components;
   const CancelToken::Clock::time_point kernel_start =
       CancelToken::Clock::now();
@@ -511,8 +501,7 @@ Result<SolveResult> SolvePreparedComponent(const PreparedProblem& prepared,
       EngineAnswer answer,
       RunInBackend(options.numeric, [&](auto tag) {
         using Num = typename decltype(tag)::type;
-        return SolveComponentT<Num>(prepared.query, query_is_1wp, unlabeled,
-                                    ctx.compiled(component_index),
+        return SolveComponentT<Num>(prepared, ctx.compiled(component_index),
                                     ctx.component_classes[component_index],
                                     options, &out.stats);
       }));

@@ -11,18 +11,18 @@ namespace phom {
 
 template <class Num>
 Result<Num> SolveByWorldEnumerationT(const DiGraph& query,
-                                     const ProbGraph& instance,
+                                     const CompiledComponent& instance,
                                      const FallbackOptions& options,
                                      FallbackStats* stats) {
   using Ops = NumericOps<Num>;
-  const DiGraph& g = instance.graph();
+  const DiGraph& g = instance.graph().graph();
   if (query.num_vertices() == 0) return Ops::One();
   if (g.num_vertices() == 0) return Ops::Zero();
 
   std::vector<EdgeId> uncertain;
   std::vector<EdgeId> certain;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const Rational& p = instance.prob(e);
+    const Rational& p = instance.graph().prob(e);
     if (p.is_one()) {
       certain.push_back(e);
     } else if (!p.is_zero()) {
@@ -66,11 +66,7 @@ Result<Num> SolveByWorldEnumerationT(const DiGraph& query,
     if (!any_hom) return Ops::Zero();
   }
 
-  std::vector<Num> uncertain_probs;
-  uncertain_probs.reserve(uncertain.size());
-  for (EdgeId e : uncertain) {
-    uncertain_probs.push_back(Ops::From(instance.prob(e)));
-  }
+  const std::vector<Num>& probs = instance.probs<Num>();
   Num total = Ops::Zero();
   uint64_t num_worlds = uint64_t{1} << uncertain.size();
   const uint64_t check_step =
@@ -88,7 +84,7 @@ Result<Num> SolveByWorldEnumerationT(const DiGraph& query,
     if (!hom) continue;
     Num w = Ops::One();
     for (size_t i = 0; i < uncertain.size(); ++i) {
-      const Num& p = uncertain_probs[i];
+      const Num& p = probs[uncertain[i]];
       w *= ((mask >> i) & 1) ? p : Ops::Complement(p);
     }
     total += w;
@@ -98,14 +94,14 @@ Result<Num> SolveByWorldEnumerationT(const DiGraph& query,
 
 template <class Num>
 Result<Num> SolveByMatchLineageT(const DiGraph& query,
-                                 const ProbGraph& instance,
+                                 const CompiledComponent& instance,
                                  const FallbackOptions& options,
                                  FallbackStats* stats) {
   if (!IsConnected(query) || query.num_edges() == 0) {
     return Status::Invalid(
         "match-lineage fallback requires a connected query with edges");
   }
-  const DiGraph& g = instance.graph();
+  const DiGraph& g = instance.graph().graph();
   // Remove probability-0 edges from consideration.
   std::set<std::vector<uint32_t>> images;
   uint64_t matches = 0;
@@ -128,7 +124,8 @@ Result<Num> SolveByMatchLineageT(const DiGraph& query,
       std::optional<EdgeId> e =
           g.FindEdge(assignment[qe.src], assignment[qe.dst]);
       PHOM_CHECK(e.has_value());
-      if (instance.prob(*e).is_zero()) return true;  // impossible image
+      // An impossible image.
+      if (instance.graph().prob(*e).is_zero()) return true;
       image.push_back(*e);
     }
     std::sort(image.begin(), image.end());
@@ -155,21 +152,27 @@ Result<Num> SolveByMatchLineageT(const DiGraph& query,
     lineage.AddClause(image);
   }
   lineage.RemoveSubsumed();
-  BackendProbs<Num> probs(instance.probs());
-  return DnfProbabilityShannonT<Num>(lineage, *probs, {}, nullptr);
+  return DnfProbabilityShannonT<Num>(lineage, instance.probs<Num>(), {},
+                                     nullptr);
 }
 
 template Result<Rational> SolveByWorldEnumerationT<Rational>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 template Result<double> SolveByWorldEnumerationT<double>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 template Result<IntervalDouble> SolveByWorldEnumerationT<IntervalDouble>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 template Result<Rational> SolveByMatchLineageT<Rational>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 template Result<double> SolveByMatchLineageT<double>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 template Result<IntervalDouble> SolveByMatchLineageT<IntervalDouble>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 
 }  // namespace phom

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "src/core/compiled.h"
 #include "src/graph/prob_graph.h"
 #include "src/hom/backtrack.h"
 #include "src/util/numeric.h"
@@ -47,45 +48,55 @@ struct FallbackStats {
   uint64_t matches = 0;
 };
 
+/// Both read the instance's compiled probabilities (compiled.h).
 template <class Num>
 Result<Num> SolveByWorldEnumerationT(const DiGraph& query,
-                                     const ProbGraph& instance,
+                                     const CompiledComponent& instance,
                                      const FallbackOptions& options,
                                      FallbackStats* stats);
 
 /// Requires a connected query with >= 1 edge.
 template <class Num>
 Result<Num> SolveByMatchLineageT(const DiGraph& query,
-                                 const ProbGraph& instance,
+                                 const CompiledComponent& instance,
                                  const FallbackOptions& options,
                                  FallbackStats* stats);
 
 extern template Result<Rational> SolveByWorldEnumerationT<Rational>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 extern template Result<double> SolveByWorldEnumerationT<double>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 extern template Result<IntervalDouble>
-SolveByWorldEnumerationT<IntervalDouble>(const DiGraph&, const ProbGraph&,
+SolveByWorldEnumerationT<IntervalDouble>(const DiGraph&,
+                                         const CompiledComponent&,
                                          const FallbackOptions&,
                                          FallbackStats*);
 extern template Result<Rational> SolveByMatchLineageT<Rational>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 extern template Result<double> SolveByMatchLineageT<double>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 extern template Result<IntervalDouble> SolveByMatchLineageT<IntervalDouble>(
-    const DiGraph&, const ProbGraph&, const FallbackOptions&, FallbackStats*);
+    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
+    FallbackStats*);
 
-/// Exact-backend conveniences (the historical entry points).
+/// Exact-backend conveniences (the historical entry points), compiling
+/// `instance` for the one call.
 inline Result<Rational> SolveByWorldEnumeration(
     const DiGraph& query, const ProbGraph& instance,
     const FallbackOptions& options = {}, FallbackStats* stats = nullptr) {
-  return SolveByWorldEnumerationT<Rational>(query, instance, options, stats);
+  return SolveByWorldEnumerationT<Rational>(query, CompiledComponent(instance),
+                                            options, stats);
 }
 inline Result<Rational> SolveByMatchLineage(const DiGraph& query,
                                             const ProbGraph& instance,
                                             const FallbackOptions& options = {},
                                             FallbackStats* stats = nullptr) {
-  return SolveByMatchLineageT<Rational>(query, instance, options, stats);
+  return SolveByMatchLineageT<Rational>(query, CompiledComponent(instance),
+                                        options, stats);
 }
 
 }  // namespace phom

@@ -146,7 +146,8 @@ std::string Classification::ToString() const {
   return s;
 }
 
-std::vector<VertexId> TwoWayPathOrder(const DiGraph& g) {
+std::vector<VertexId> TwoWayPathOrder(const DiGraph& g,
+                                      std::vector<EdgeId>* edges) {
   PHOM_CHECK_MSG(IsTwoWayPath(g), "TwoWayPathOrder requires a 2WP");
   if (g.num_vertices() == 1) return {0};
   // Find an endpoint (undirected degree 1), then walk.
@@ -165,13 +166,21 @@ std::vector<VertexId> TwoWayPathOrder(const DiGraph& g) {
   order.push_back(v);
   while (order.size() < g.num_vertices()) {
     VertexId next = g.num_vertices();
+    EdgeId via = 0;
     for (EdgeId e : g.OutEdges(v)) {
-      if (!seen[g.edge(e).dst]) next = g.edge(e).dst;
+      if (!seen[g.edge(e).dst]) {
+        next = g.edge(e).dst;
+        via = e;
+      }
     }
     for (EdgeId e : g.InEdges(v)) {
-      if (!seen[g.edge(e).src]) next = g.edge(e).src;
+      if (!seen[g.edge(e).src]) {
+        next = g.edge(e).src;
+        via = e;
+      }
     }
     PHOM_CHECK(next != g.num_vertices());
+    if (edges != nullptr) edges->push_back(via);
     seen[next] = true;
     order.push_back(next);
     v = next;
@@ -189,19 +198,25 @@ VertexId DownwardTreeRoot(const DiGraph& g) {
 }
 
 std::vector<LabelId> OneWayPathLabels(const DiGraph& g) {
-  PHOM_CHECK_MSG(IsOneWayPath(g), "OneWayPathLabels requires a 1WP");
+  // Walk from a source through vertices of out-degree 1, at most |E| steps.
+  // Ending at a sink after exactly |E| steps, with |V| = |E| + 1, proves g a
+  // 1WP without classifying it: a repeated vertex would keep the walk in a
+  // cycle of out-degree-1 vertices, so the |E| + 1 vertices walked are
+  // distinct, hence all of V, and the |E| edges walked are all of E.
   std::vector<LabelId> labels;
   labels.reserve(g.num_edges());
   VertexId v = 0;
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     if (g.InDegree(u) == 0) v = u;
   }
-  while (g.OutDegree(v) == 1) {
+  while (labels.size() < g.num_edges() && g.OutDegree(v) == 1) {
     EdgeId e = g.OutEdges(v)[0];
     labels.push_back(g.edge(e).label);
     v = g.edge(e).dst;
   }
-  PHOM_CHECK(labels.size() == g.num_edges());
+  PHOM_CHECK_MSG(g.num_vertices() == g.num_edges() + 1 &&
+                     labels.size() == g.num_edges() && g.OutDegree(v) == 0,
+                 "OneWayPathLabels requires a 1WP");
   return labels;
 }
 

@@ -93,7 +93,10 @@ Classification ClassifyUnion(const std::vector<Classification>& parts);
 
 /// For a 2WP, the vertex order a_1 − a_2 − ... − a_m along the path
 /// (an arbitrary one of the two orientations). PHOM_CHECKs IsTwoWayPath.
-std::vector<VertexId> TwoWayPathOrder(const DiGraph& g);
+/// `edges`, if non-null, receives the path edges: the k-th joins the k-th
+/// and (k+1)-th vertices of the order.
+std::vector<VertexId> TwoWayPathOrder(const DiGraph& g,
+                                      std::vector<EdgeId>* edges = nullptr);
 
 /// For a DWT, the root (the unique vertex of in-degree 0; the single vertex
 /// for edgeless graphs). PHOM_CHECKs IsDownwardTree.

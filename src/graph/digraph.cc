@@ -14,8 +14,7 @@ Result<EdgeId> DiGraph::AddEdge(VertexId src, VertexId dst, LabelId label) {
   if (src >= num_vertices() || dst >= num_vertices()) {
     return Status::Invalid("edge endpoint out of range");
   }
-  uint64_t key = PairKey(src, dst);
-  if (by_pair_.count(key)) {
+  if (FindEdge(src, dst).has_value()) {
     return Status::Invalid("multi-edge on ordered pair (" +
                            std::to_string(src) + ", " + std::to_string(dst) +
                            ")");
@@ -24,14 +23,21 @@ Result<EdgeId> DiGraph::AddEdge(VertexId src, VertexId dst, LabelId label) {
   edges_.push_back(Edge{src, dst, label});
   out_[src].push_back(id);
   in_[dst].push_back(id);
-  by_pair_.emplace(key, id);
   return id;
 }
 
 std::optional<EdgeId> DiGraph::FindEdge(VertexId src, VertexId dst) const {
-  auto it = by_pair_.find(PairKey(src, dst));
-  if (it == by_pair_.end()) return std::nullopt;
-  return it->second;
+  if (src >= num_vertices() || dst >= num_vertices()) return std::nullopt;
+  if (out_[src].size() <= in_[dst].size()) {
+    for (EdgeId e : out_[src]) {
+      if (edges_[e].dst == dst) return e;
+    }
+  } else {
+    for (EdgeId e : in_[dst]) {
+      if (edges_[e].src == src) return e;
+    }
+  }
+  return std::nullopt;
 }
 
 bool DiGraph::HasEdge(VertexId src, VertexId dst, LabelId label) const {

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/util/result.h"
@@ -63,7 +62,8 @@ class DiGraph {
     return out_[v].size() + in_[v].size();
   }
 
-  /// The edge on the ordered pair (src, dst), if any.
+  /// The edge on the ordered pair (src, dst), if any: a scan of the shorter
+  /// of OutEdges(src) and InEdges(dst), so no per-edge index is kept.
   std::optional<EdgeId> FindEdge(VertexId src, VertexId dst) const;
   bool HasEdge(VertexId src, VertexId dst, LabelId label) const;
 
@@ -73,14 +73,9 @@ class DiGraph {
   bool UsesSingleLabel() const { return UsedLabels().size() <= 1; }
 
  private:
-  static uint64_t PairKey(VertexId src, VertexId dst) {
-    return (static_cast<uint64_t>(src) << 32) | dst;
-  }
-
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> out_;
   std::vector<std::vector<EdgeId>> in_;
-  std::unordered_map<uint64_t, EdgeId> by_pair_;
 };
 
 /// Convenience for internal construction where arguments are known valid.

@@ -7,11 +7,12 @@
 namespace phom {
 
 template <class Num>
-Num IntervalDnfProbabilityT(const std::vector<Num>& edge_probs,
+Num IntervalDnfProbabilityT(const std::vector<Num>& probs,
+                            const std::vector<uint32_t>& path,
                             std::vector<EdgeInterval> intervals) {
   using Ops = NumericOps<Num>;
   const uint32_t kNone = UINT32_MAX;
-  size_t L = edge_probs.size();
+  size_t L = path.size();
   if (intervals.empty()) return Ops::Zero();
   for (const EdgeInterval& iv : intervals) {
     PHOM_CHECK_MSG(iv.first <= iv.second && iv.second < L,
@@ -43,7 +44,7 @@ Num IntervalDnfProbabilityT(const std::vector<Num>& edge_probs,
   dist[0] = Ops::One();
   for (uint32_t k = 0; k < L; ++k) {
     std::vector<Num> next(L + 2, Ops::Zero());
-    const Num& p = edge_probs[k];
+    const Num& p = probs[path[k]];
     Num q = Ops::Complement(p);
     for (uint32_t s = 0; s <= k; ++s) {
       if (Ops::IsZero(dist[s])) continue;
@@ -65,10 +66,13 @@ Num IntervalDnfProbabilityT(const std::vector<Num>& edge_probs,
 }
 
 template Rational IntervalDnfProbabilityT<Rational>(
-    const std::vector<Rational>&, std::vector<EdgeInterval>);
+    const std::vector<Rational>&, const std::vector<uint32_t>&,
+    std::vector<EdgeInterval>);
 template double IntervalDnfProbabilityT<double>(const std::vector<double>&,
+                                                const std::vector<uint32_t>&,
                                                 std::vector<EdgeInterval>);
 template IntervalDouble IntervalDnfProbabilityT<IntervalDouble>(
-    const std::vector<IntervalDouble>&, std::vector<EdgeInterval>);
+    const std::vector<IntervalDouble>&, const std::vector<uint32_t>&,
+    std::vector<EdgeInterval>);
 
 }  // namespace phom

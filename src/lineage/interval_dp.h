@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -23,24 +24,33 @@ namespace phom {
 using EdgeInterval = std::pair<uint32_t, uint32_t>;
 
 /// Pr(at least one interval fully present) with independent edge
-/// probabilities, in the numeric backend of `Num` (Rational or double).
-/// Intervals may overlap arbitrarily; dominated (superset) intervals are
-/// removed internally.
+/// probabilities, in the numeric backend of `Num` (Rational or double):
+/// edge k of the path is `probs[path[k]]`, so a caller reads a graph's
+/// probability array through its path's edge ids. Intervals may overlap
+/// arbitrarily; dominated (superset) intervals are removed internally.
 template <class Num>
-Num IntervalDnfProbabilityT(const std::vector<Num>& edge_probs,
+Num IntervalDnfProbabilityT(const std::vector<Num>& probs,
+                            const std::vector<uint32_t>& path,
                             std::vector<EdgeInterval> intervals);
 
 extern template Rational IntervalDnfProbabilityT<Rational>(
-    const std::vector<Rational>&, std::vector<EdgeInterval>);
+    const std::vector<Rational>&, const std::vector<uint32_t>&,
+    std::vector<EdgeInterval>);
 extern template double IntervalDnfProbabilityT<double>(
-    const std::vector<double>&, std::vector<EdgeInterval>);
+    const std::vector<double>&, const std::vector<uint32_t>&,
+    std::vector<EdgeInterval>);
 extern template IntervalDouble IntervalDnfProbabilityT<IntervalDouble>(
-    const std::vector<IntervalDouble>&, std::vector<EdgeInterval>);
+    const std::vector<IntervalDouble>&, const std::vector<uint32_t>&,
+    std::vector<EdgeInterval>);
 
-/// Exact-backend convenience (the historical entry point).
+/// Exact-backend convenience (the historical entry point): edge k has
+/// probability edge_probs[k].
 inline Rational IntervalDnfProbability(const std::vector<Rational>& edge_probs,
                                        std::vector<EdgeInterval> intervals) {
-  return IntervalDnfProbabilityT<Rational>(edge_probs, std::move(intervals));
+  std::vector<uint32_t> path(edge_probs.size());
+  std::iota(path.begin(), path.end(), 0u);
+  return IntervalDnfProbabilityT<Rational>(edge_probs, path,
+                                           std::move(intervals));
 }
 
 }  // namespace phom

@@ -4,13 +4,15 @@
 // equal the kernels' ProbGraph entry points, which compile on the fly, bit
 // for bit on all three backends, with the same per-request counts and the
 // same error text. The compiled parts are built by the first solves, from
-// any number of threads at once.
+// any number of threads at once. 2WP components compile their path order,
+// path edges and probabilities for Prop. 4.11 the same way.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -569,6 +571,292 @@ TEST(CompiledComponentLazy, ConcurrentFirstSolves) {
       }
       for (std::thread& th : pool) th.join();
       for (const Answer& a : seen) ExpectSame(a, serial_forest);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 2WP components (Prop. 4.11): the compiled path order, path edges and
+// backend probabilities.
+// ---------------------------------------------------------------------------
+
+/// 2WP lengths at and around 64-bit word boundaries, and the 1-edge path.
+constexpr size_t kPathLengths[] = {1, 63, 64, 65, 127, 128, 129};
+
+/// A ⊔2WP instance over labels [0, num_labels): one path of each length in
+/// `lengths`, plus 0-2 isolated vertices; every edge draws a probability
+/// from DrawProbability (0 and 1 included).
+ProbGraph MakePaths(Rng* rng, const std::vector<size_t>& lengths,
+                    size_t num_labels) {
+  std::vector<DiGraph> parts;
+  for (size_t length : lengths) {
+    parts.push_back(RandomTwoWayPath(rng, length, num_labels));
+  }
+  for (int64_t i = rng->UniformInt(0, 2); i > 0; --i) parts.emplace_back(1);
+  return WithProbabilities(rng, DisjointUnion(parts));
+}
+
+/// R(x,x), S(x,y): connected, with a self-loop no 2WP has.
+DiGraph SelfLoopQuery(LabelId r, LabelId s) {
+  DiGraph q(2);
+  AddEdgeOrDie(&q, 0, 0, r);
+  AddEdgeOrDie(&q, 0, 1, s);
+  return q;
+}
+
+/// A connected query over the instance's labels [0, num_labels); in 30% of
+/// draws over one more label, which no component carries.
+DiGraph Make2wpQuery(Rng* rng, size_t num_labels) {
+  const size_t labels = num_labels + static_cast<size_t>(rng->Bernoulli(0.3));
+  switch (rng->UniformInt(0, 4)) {
+    case 0:
+      return RandomTwoWayPath(
+          rng, static_cast<size_t>(rng->UniformInt(1, 6)), labels);
+    case 1:
+      return RandomOneWayPath(
+          rng, static_cast<size_t>(rng->UniformInt(1, 4)), labels);
+    case 2:
+      return RandomPolytree(
+          rng, static_cast<size_t>(rng->UniformInt(2, 6)), labels);
+    case 3:
+      return RandomConnected(rng, 4, 1, labels);
+    default:
+      return SelfLoopQuery(0, static_cast<LabelId>(labels - 1));
+  }
+}
+
+struct TwoWpCounts {
+  size_t hom_tests = 0;
+  size_t lineage_clauses = 0;
+  bool operator==(const TwoWpCounts&) const = default;
+};
+
+/// Lemma 3.7 over the ProbGraph entry point on each component of a fresh
+/// split, for the query `prepared` solves, with the engine's counts.
+template <class Num>
+Answer Reference2wp(const PreparedProblem& prepared, TwoWpCounts* counts) {
+  using Ops = NumericOps<Num>;
+  Num none = Ops::One();
+  for (const ComponentView& comp : prepared.context->components) {
+    if (comp.graph.num_edges() == 0) continue;
+    TwoWayPathStats s;
+    Result<Num> p = SolveConnectedOn2wpComponentT<Num>(prepared.query,
+                                                       comp.graph, &s, nullptr);
+    if (!p.ok()) return FromKernel(p, 0, 0);
+    counts->hom_tests += s.hom_tests;
+    counts->lineage_clauses += s.minimal_intervals;
+    none *= Ops::Complement(*p);
+  }
+  return FromKernel(Result<Num>(Ops::Complement(none)), 0, 0);
+}
+
+/// The compiled kernel on each component of a warm context against the
+/// ProbGraph entry point: value, counts and lineage, twice.
+template <class Num>
+void ExpectComponentsMatch(const InstanceContext& ctx, const DiGraph& query) {
+  for (size_t i = 0; i < ctx.components.size(); ++i) {
+    SCOPED_TRACE(i);
+    TwoWayPathStats want_stats;
+    MonotoneDnf want_lineage(0);
+    const Answer want = FromKernel(
+        SolveConnectedOn2wpComponentT<Num>(query, ctx.components[i].graph,
+                                           &want_stats, &want_lineage),
+        0, 0);
+    for (int pass = 0; pass < 2; ++pass) {
+      TwoWayPathStats s;
+      MonotoneDnf lineage(0);
+      ExpectSame(FromKernel(SolveConnectedOn2wpComponentT<Num>(
+                                query, ctx.compiled(i), &s, &lineage),
+                            0, 0),
+                 want);
+      EXPECT_EQ(s.hom_tests, want_stats.hom_tests);
+      EXPECT_EQ(s.minimal_intervals, want_stats.minimal_intervals);
+      EXPECT_EQ(lineage.num_vars(), want_lineage.num_vars());
+      EXPECT_EQ(lineage.clauses(), want_lineage.clauses());
+    }
+  }
+}
+
+/// Every query through one session per backend, cold then warm, against
+/// Reference2wp; and each component's compiled kernel against its entry
+/// point. Returns how many queries ran the 2WP engine.
+size_t ExpectWarm2wpMatchesEntryPoints(const ProbGraph& instance,
+                                       const std::vector<DiGraph>& queries) {
+  size_t ran = 0;
+  for (NumericBackend backend : kBackends) {
+    SCOPED_TRACE(ToString(backend));
+    SolveOptions options;
+    options.numeric = backend;
+    EvalSession session(instance, options);
+    for (const DiGraph& query : queries) {
+      const Result<SolveResult> cold = session.Solve(query);
+      const Result<SolveResult> warm = session.Solve(query);
+      const PreparedProblem prepared = PrepareProblem(query, instance);
+      if (prepared.analysis.algorithm != Algorithm::kConnectedOn2wp) continue;
+      ++ran;
+      TwoWpCounts counts;
+      Answer want;
+      switch (backend) {
+        case NumericBackend::kExact:
+          want = Reference2wp<Rational>(prepared, &counts);
+          break;
+        case NumericBackend::kDouble:
+          want = Reference2wp<double>(prepared, &counts);
+          break;
+        case NumericBackend::kIntervalDouble:
+          want = Reference2wp<IntervalDouble>(prepared, &counts);
+          break;
+      }
+      for (const Result<SolveResult>* r : {&cold, &warm}) {
+        ExpectSame(FromSolve(*r, backend), want);
+        if (!r->ok()) continue;
+        EXPECT_EQ((TwoWpCounts{(*r)->stats.hom_tests,
+                               (*r)->stats.lineage_clauses}),
+                  counts);
+      }
+      const auto ctx = BuildInstanceContext(instance, query.UsedLabels());
+      switch (backend) {
+        case NumericBackend::kExact:
+          ExpectComponentsMatch<Rational>(*ctx, prepared.query);
+          break;
+        case NumericBackend::kDouble:
+          ExpectComponentsMatch<double>(*ctx, prepared.query);
+          break;
+        case NumericBackend::kIntervalDouble:
+          ExpectComponentsMatch<IntervalDouble>(*ctx, prepared.query);
+          break;
+      }
+    }
+    EXPECT_LE(session.stats().instance_preparations, queries.size());
+  }
+  return ran;
+}
+
+TEST(CompiledComponent2wpDiff, WarmContextMatchesProbGraphEntryPoint) {
+  Rng rng(411);
+  size_t ran = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE(trial);
+    const size_t num_labels = static_cast<size_t>(rng.UniformInt(1, 3));
+    std::vector<size_t> lengths = {
+        kPathLengths[trial % std::size(kPathLengths)],
+        static_cast<size_t>(rng.UniformInt(1, 12))};
+    const ProbGraph instance = MakePaths(&rng, lengths, num_labels);
+    std::vector<DiGraph> queries;
+    for (int q = 0; q < 3; ++q) {
+      queries.push_back(Make2wpQuery(&rng, num_labels));
+    }
+    ran += ExpectWarm2wpMatchesEntryPoints(instance, queries);
+  }
+  EXPECT_GT(ran, 120u);
+}
+
+TEST(CompiledComponent2wpDiff, EveryPathLengthAndCertainOrImpossibleEdges) {
+  // All-certain and all-impossible paths of every boundary length, under a
+  // 1WP query, a 2WP query and the self-loop query, on two labels.
+  Rng rng(129);
+  for (size_t length : kPathLengths) {
+    SCOPED_TRACE(length);
+    for (const Rational& p : {Rational::Zero(), Rational::One()}) {
+      DiGraph path = RandomTwoWayPath(&rng, length, 2);
+      const ProbGraph instance(
+          path, std::vector<Rational>(path.num_edges(), p));
+      const size_t ran = ExpectWarm2wpMatchesEntryPoints(
+          instance, {MakeOneWayPath(1, 0), RandomTwoWayPath(&rng, 3, 2),
+                     SelfLoopQuery(1, 0)});
+      EXPECT_EQ(ran, 9u);
+    }
+  }
+}
+
+/// Both preconditions keep their text, in their order: the component's
+/// first, then the query's. The compiled kernel reports the component's
+/// the same way, cold and warm.
+template <class Num>
+void Expect2wpErrorsMatch(const InstanceContext& ctx, size_t non_2wp,
+                          size_t path) {
+  const std::string kNot2wp =
+      "Invalid: SolveConnectedOn2wpComponent requires a 2WP";
+  const std::string kQuery =
+      "Invalid: query must be connected with at least one edge";
+  const DiGraph connected = MakeOneWayPath(2, kLabel);
+  const DiGraph disconnected = DisjointUnion({connected, connected});
+  const ProbGraph& bad = ctx.components[non_2wp].graph;
+  const ProbGraph& good = ctx.components[path].graph;
+  auto status = [](const Result<Num>& r) { return r.status().ToString(); };
+  for (const DiGraph* query : {&connected, &disconnected}) {
+    EXPECT_EQ(status(SolveConnectedOn2wpComponentT<Num>(*query, bad, nullptr,
+                                                        nullptr)),
+              kNot2wp);
+    for (int pass = 0; pass < 2; ++pass) {
+      EXPECT_EQ(status(SolveConnectedOn2wpComponentT<Num>(
+                    *query, ctx.compiled(non_2wp), nullptr, nullptr)),
+                kNot2wp);
+    }
+  }
+  EXPECT_EQ(status(SolveConnectedOn2wpComponentT<Num>(disconnected, good,
+                                                      nullptr, nullptr)),
+            kQuery);
+  EXPECT_EQ(status(SolveConnectedOn2wpComponentT<Num>(DiGraph(2), good,
+                                                      nullptr, nullptr)),
+            kQuery);
+  EXPECT_TRUE(SolveConnectedOn2wpComponentT<Num>(connected, ctx.compiled(path),
+                                                 nullptr, nullptr)
+                  .ok());
+}
+
+TEST(CompiledComponent2wpDiff, ErrorsKeepTheirText) {
+  Rng rng(2);
+  const ProbGraph instance = WithProbabilities(
+      &rng, DisjointUnion({Comb(7), RandomTwoWayPath(&rng, 9, 1)}));
+  const auto ctx = BuildInstanceContext(instance, {kLabel});
+  ASSERT_EQ(ctx->components.size(), 2u);
+  ASSERT_FALSE(ctx->component_classes[0].is_2wp);
+  ASSERT_TRUE(ctx->component_classes[1].is_2wp);
+  Expect2wpErrorsMatch<Rational>(*ctx, 0, 1);
+  Expect2wpErrorsMatch<double>(*ctx, 0, 1);
+  Expect2wpErrorsMatch<IntervalDouble>(*ctx, 0, 1);
+  EXPECT_EQ(ctx->compiled(0).two_way_path().status().ToString(),
+            "Invalid: SolveConnectedOn2wpComponent requires a 2WP");
+}
+
+TEST(CompiledComponent2wpDiff, CompiledPathEqualsFreshWalk) {
+  Rng rng(64);
+  for (size_t length : kPathLengths) {
+    SCOPED_TRACE(length);
+    const ProbGraph instance =
+        WithProbabilities(&rng, RandomTwoWayPath(&rng, length, 2));
+    const CompiledComponent compiled(instance);
+    const DiGraph& g = instance.graph();
+    ASSERT_TRUE(compiled.two_way_path().ok());
+    const TwoWayPath& path = *compiled.two_way_path();
+    EXPECT_EQ(path.order, TwoWayPathOrder(g));
+    ASSERT_EQ(path.edges.size(), length);
+    for (size_t k = 0; k < length; ++k) {
+      const Edge& e = g.edge(path.edges[k]);
+      EXPECT_TRUE((e.src == path.order[k] && e.dst == path.order[k + 1]) ||
+                  (e.dst == path.order[k] && e.src == path.order[k + 1]))
+          << k;
+    }
+  }
+}
+
+TEST(CompiledComponentLazy, Concurrent2wpFirstSolves) {
+  Rng rng(29);
+  std::vector<size_t> lengths(std::begin(kPathLengths), std::end(kPathLengths));
+  const ProbGraph instance = MakePaths(&rng, lengths, 2);
+  const DiGraph query = RandomTwoWayPath(&rng, 3, 2);
+  for (NumericBackend backend : kBackends) {
+    SCOPED_TRACE(ToString(backend));
+    SolveOptions options;
+    options.numeric = backend;
+    const std::vector<Answer> serial =
+        SolveComponentsConcurrently(instance, query, options, 1)[0];
+    for (int round = 0; round < 4; ++round) {
+      for (const std::vector<Answer>& seen :
+           SolveComponentsConcurrently(instance, query, options, 8)) {
+        for (size_t i = 0; i < seen.size(); ++i) ExpectSame(seen[i], serial[i]);
+      }
     }
   }
 }
