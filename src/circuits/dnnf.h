@@ -26,13 +26,6 @@ template <class Num>
 Num DnnfProbabilityT(const Circuit& circuit, uint32_t root,
                      const std::vector<Num>& var_probs);
 
-extern template Rational DnnfProbabilityT<Rational>(
-    const Circuit&, uint32_t, const std::vector<Rational>&);
-extern template double DnnfProbabilityT<double>(const Circuit&, uint32_t,
-                                                const std::vector<double>&);
-extern template IntervalDouble DnnfProbabilityT<IntervalDouble>(
-    const Circuit&, uint32_t, const std::vector<IntervalDouble>&);
-
 /// Exact-backend convenience (the historical entry point).
 inline Rational DnnfProbability(const Circuit& circuit, uint32_t root,
                                 const std::vector<Rational>& var_probs) {

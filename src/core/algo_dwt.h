@@ -87,30 +87,6 @@ Result<Num> SolveUnlabeledOnDwtForestT(const DiGraph& query,
                                        const ProbGraph& instance,
                                        DwtStats* stats);
 
-extern template Result<Rational> SolvePathOnDwtForestT<Rational>(
-    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
-extern template Result<double> SolvePathOnDwtForestT<double>(
-    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
-extern template Result<IntervalDouble> SolvePathOnDwtForestT<IntervalDouble>(
-    const std::vector<LabelId>&, const CompiledComponent&, DwtStats*);
-extern template Result<Rational> SolvePathOnDwtForestViaLineageT<Rational>(
-    const std::vector<LabelId>&, const CompiledComponent&, MonotoneDnf*,
-    DwtStats*);
-extern template Result<double> SolvePathOnDwtForestViaLineageT<double>(
-    const std::vector<LabelId>&, const CompiledComponent&, MonotoneDnf*,
-    DwtStats*);
-extern template Result<IntervalDouble>
-SolvePathOnDwtForestViaLineageT<IntervalDouble>(const std::vector<LabelId>&,
-                                                const CompiledComponent&,
-                                                MonotoneDnf*, DwtStats*);
-extern template Result<Rational> SolveUnlabeledOnDwtForestT<Rational>(
-    const DiGraph&, const ProbGraph&, DwtStats*);
-extern template Result<double> SolveUnlabeledOnDwtForestT<double>(
-    const DiGraph&, const ProbGraph&, DwtStats*);
-extern template Result<IntervalDouble>
-SolveUnlabeledOnDwtForestT<IntervalDouble>(const DiGraph&, const ProbGraph&,
-                                           DwtStats*);
-
 /// Exact-backend conveniences (the historical entry points).
 inline Result<Rational> SolvePathOnDwtForest(
     const std::vector<LabelId>& query_labels, const ProbGraph& instance,

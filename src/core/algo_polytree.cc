@@ -221,13 +221,13 @@ Result<Num> SolveDwtQueryOnPolytreeForestT(const DiGraph& query,
   uint32_t m = static_cast<uint32_t>(graded.difference_of_levels);
 
   // Lemma 3.7 across components; EncodePolytree rejects a non-polytree one.
-  Num none = Ops::One();
+  IndependentUnionAccumulator<Num> any;
   for (const ComponentView& comp : SplitComponents(instance)) {
     PHOM_ASSIGN_OR_RETURN(
         Num p, SolvePathProbabilityOnPolytreeT<Num>(m, comp.graph, stats));
-    none *= Ops::Complement(p);
+    any.Add(p);
   }
-  return Ops::Complement(none);
+  return any.Total();
 }
 
 template Result<Rational> SolvePathProbabilityOnPolytreeT<Rational>(

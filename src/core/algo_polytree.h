@@ -68,23 +68,6 @@ Result<Num> SolveDwtQueryOnPolytreeForestT(const DiGraph& query,
                                            const ProbGraph& instance,
                                            PolytreeStats* stats);
 
-extern template Result<Rational> SolvePathProbabilityOnPolytreeT<Rational>(
-    uint32_t, const CompiledComponent&, PolytreeStats*);
-extern template Result<double> SolvePathProbabilityOnPolytreeT<double>(
-    uint32_t, const CompiledComponent&, PolytreeStats*);
-extern template Result<IntervalDouble>
-SolvePathProbabilityOnPolytreeT<IntervalDouble>(uint32_t,
-                                                const CompiledComponent&,
-                                                PolytreeStats*);
-extern template Result<Rational> SolveDwtQueryOnPolytreeForestT<Rational>(
-    const DiGraph&, const ProbGraph&, PolytreeStats*);
-extern template Result<double> SolveDwtQueryOnPolytreeForestT<double>(
-    const DiGraph&, const ProbGraph&, PolytreeStats*);
-extern template Result<IntervalDouble>
-SolveDwtQueryOnPolytreeForestT<IntervalDouble>(const DiGraph&,
-                                               const ProbGraph&,
-                                               PolytreeStats*);
-
 /// Exact-backend conveniences (the historical entry points).
 inline Result<Rational> SolvePathProbabilityOnPolytree(
     uint32_t m, const ProbGraph& component, PolytreeStats* stats = nullptr) {

@@ -60,15 +60,6 @@ Result<Num> SolveConnectedOn2wpComponentT(const DiGraph& query,
                                             lineage_out);
 }
 
-extern template Result<Rational> SolveConnectedOn2wpComponentT<Rational>(
-    const DiGraph&, const CompiledComponent&, TwoWayPathStats*, MonotoneDnf*);
-extern template Result<double> SolveConnectedOn2wpComponentT<double>(
-    const DiGraph&, const CompiledComponent&, TwoWayPathStats*, MonotoneDnf*);
-extern template Result<IntervalDouble>
-SolveConnectedOn2wpComponentT<IntervalDouble>(const DiGraph&,
-                                              const CompiledComponent&,
-                                              TwoWayPathStats*, MonotoneDnf*);
-
 /// Exact-backend convenience (the historical entry point).
 inline Result<Rational> SolveConnectedOn2wpComponent(
     const DiGraph& query, const ProbGraph& component,

@@ -165,17 +165,23 @@ PreparedProblem PrepareProblemWithProvider(
   Classification qc = Classify(q);
   const Classification& ic = out.context->instance_class;
 
-  // 3. Unlabeled collapses to a 1WP query.
+  // 3. Unlabeled collapses to a 1WP query: →^m over the one label, a
+  // connected 1WP by construction, so neither classified nor walked again.
+  auto collapse_to_path = [&](int64_t m) {
+    out.analysis.query_collapsed = true;
+    out.analysis.collapsed_length = m;
+    q = MakeOneWayPath(static_cast<size_t>(m), labels[0]);
+    Classification path;
+    path.is_1wp = path.is_2wp = path.is_dwt = path.is_pt = true;
+    qc = ClassifyUnion({path});
+    out.query_path_labels.assign(static_cast<size_t>(m), labels[0]);
+  };
   if (unlabeled) {
     if (qc.all_dwt) {
       // Prop. 5.5: a ⊔DWT query is equivalent to →^maxheight everywhere.
       GradedAnalysis ga = AnalyzeGraded(q);
       PHOM_CHECK(ga.is_graded);  // trees are graded
-      out.analysis.query_collapsed = true;
-      out.analysis.collapsed_length = ga.difference_of_levels;
-      q = MakeOneWayPath(static_cast<size_t>(ga.difference_of_levels),
-                         labels[0]);
-      qc = Classify(q);
+      collapse_to_path(ga.difference_of_levels);
     } else if (ic.all_dwt) {
       // Prop. 3.6: on forest instances any graded query collapses; a
       // non-graded query has probability 0.
@@ -191,17 +197,15 @@ PreparedProblem PrepareProblemWithProvider(
         out.immediate = Rational::Zero();
         return out;
       }
-      out.analysis.query_collapsed = true;
-      out.analysis.collapsed_length = ga.difference_of_levels;
-      q = MakeOneWayPath(static_cast<size_t>(ga.difference_of_levels),
-                         labels[0]);
-      qc = Classify(q);
+      collapse_to_path(ga.difference_of_levels);
     }
   }
 
   out.analysis.query_class = qc;
   out.analysis.instance_class = ic;
-  if (qc.is_1wp) out.query_path_labels = OneWayPathLabels(q);
+  if (qc.is_1wp && !out.analysis.query_collapsed) {
+    out.query_path_labels = OneWayPathLabels(q);
+  }
   out.analysis.cell = std::string(unlabeled ? "PHom!L(" : "PHomL(") +
                       TableClassLabel(qc) + ", " + TableClassLabel(ic) + ")";
 

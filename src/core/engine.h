@@ -55,12 +55,13 @@ class Engine {
   /// and their "exact" answer is only an exactly-represented estimate.
   virtual bool exact() const { return true; }
 
-  /// True for engines that solve each instance component independently and
-  /// combine by Lemma 3.7. Such dispatches expose within-query parallelism:
-  /// the serve layer resolves the engine once per query with
-  /// PlanComponentDispatch, solves components on different threads via
-  /// SolvePreparedComponent and merges with CombinePreparedComponents
-  /// (solver.h) — bit-identically to this engine's serial Solve.
+  /// True for engines that solve independent parts — the instance
+  /// components of a CQ (Lemma 3.7) or the units of a UCQ plan — and merge
+  /// them. Their Solve is SolveComponentwise: SolvePreparedComponent per part
+  /// and one CombinePreparedComponents merge (solver.h). The serve layer
+  /// resolves the engine once per query with PlanComponentDispatch and runs
+  /// the same two functions with the parts on different threads, so its
+  /// answer is this engine's serial one bit for bit.
   virtual bool componentwise() const { return false; }
 
   /// Whether this engine can answer the analyzed cell at all (used to
@@ -153,6 +154,18 @@ Result<EngineAnswer> MonteCarloAnswer(const PreparedProblem& prepared,
                                       const SolveOptions& options,
                                       MonteCarloOptions mc, bool degraded,
                                       SolveStats* stats);
+
+/// The serial Solve of every componentwise engine: SolvePreparedComponent
+/// per part in index order, stopping at the first error, then the
+/// CombinePreparedComponents merge, whose counters land in *stats.
+Result<EngineAnswer> SolveComponentwise(const Engine& engine,
+                                        const PreparedProblem& prepared,
+                                        const SolveOptions& options,
+                                        SolveStats* stats);
+
+/// Copies an engine's answer into `out`: the answer fields, the backend it
+/// was computed in, and its Monte Carlo provenance.
+void PublishAnswer(EngineAnswer answer, SolveResult* out);
 
 /// Registers the built-in engines, in auto-dispatch priority order:
 ///   connected-on-2wp, path-on-dwt, unlabeled-dwt-instance,

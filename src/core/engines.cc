@@ -54,6 +54,82 @@ FallbackOptions FallbackWithCancel(const SolveOptions& options) {
   return fb;
 }
 
+/// The parts a componentwise solve of `prepared` runs (context required).
+size_t PartCount(const PreparedProblem& prepared) {
+  return prepared.ucq != nullptr ? prepared.ucq->plan.units.size()
+                                 : prepared.context->components.size();
+}
+
+/// A part's answer in backend Num, as the merge reads it: the exact
+/// probability (by reference, no BigInt copy), the enclosure, or the double.
+template <class Num>
+decltype(auto) PartValue(const SolveResult& part) {
+  if constexpr (std::is_same_v<Num, Rational>) {
+    return (part.probability);
+  } else if constexpr (std::is_same_v<Num, IntervalDouble>) {
+    return IntervalDouble(part.bound.lo, part.bound.hi);
+  } else {
+    return part.probability_double;
+  }
+}
+
+/// THE merge: the first failing part's status in index order; else the
+/// parts' counters summed into *stats and their answers folded in
+/// options.numeric's backend, components by Lemma 3.7 and units through the
+/// lifted plan. An interval answer is certified iff every part's is.
+Result<EngineAnswer> MergeParts(const PreparedProblem& prepared,
+                                const SolveOptions& options,
+                                const std::vector<Result<SolveResult>>& parts,
+                                SolveStats* stats) {
+  PHOM_CHECK_MSG(parts.size() == PartCount(prepared),
+                 "CombinePreparedComponents arity mismatch");
+  bool certified = true;
+  for (const Result<SolveResult>& part : parts) {
+    if (!part.ok()) return part.status();
+    const SolveStats& counts = part->stats;
+    stats->components += counts.components;
+    stats->fallback_components += counts.fallback_components;
+    stats->worlds += counts.worlds;
+    stats->hom_tests += counts.hom_tests;
+    stats->lineage_clauses += counts.lineage_clauses;
+    stats->circuit_gates += counts.circuit_gates;
+    stats->match_ends += counts.match_ends;
+    stats->duration += counts.duration;
+    certified = certified && part->bound.certified;
+  }
+  const lifted::PreparedUcq* ucq = prepared.ucq.get();
+  if (ucq != nullptr) {
+    stats->ucq_disjuncts = ucq->normalized.disjuncts.size();
+    stats->ucq_units = parts.size();
+    stats->ucq_verdict =
+        ucq->plan.lifted ? std::string("lifted")
+                         : "not-liftable: " + ucq->plan.not_liftable_reason;
+  }
+  PHOM_ASSIGN_OR_RETURN(
+      EngineAnswer answer,
+      RunInBackend(options.numeric, [&](auto tag) -> Result<
+                                        typename decltype(tag)::type> {
+        using Num = typename decltype(tag)::type;
+        if (ucq != nullptr) {
+          std::vector<Num> values;
+          values.reserve(parts.size());
+          for (const Result<SolveResult>& part : parts) {
+            values.push_back(PartValue<Num>(*part));
+          }
+          return lifted::EvaluatePlan<Num>(ucq->plan, values);
+        }
+        IndependentUnionAccumulator<Num> any;
+        for (const Result<SolveResult>& part : parts) {
+          any.Add(PartValue<Num>(*part));
+        }
+        return any.Total();
+      }));
+  if (options.numeric == NumericBackend::kIntervalDouble) {
+    answer.bound.certified = certified;
+  }
+  return answer;
+}
+
 /// Per-component dispatch for a connected query with >= 1 edge: the finest
 /// applicable algorithm per component class, exact exponential enumeration
 /// on #P-hard components.
@@ -121,68 +197,42 @@ Result<Num> SolveComponentT(const PreparedProblem& prepared,
   return fallback();
 }
 
-/// Lemma 3.7 over the cached component split.
-template <class Num>
-Result<Num> SolvePerComponentT(const PreparedProblem& prepared,
-                               const SolveOptions& options,
-                               SolveStats* stats) {
-  using Ops = NumericOps<Num>;
-  const InstanceContext& ctx = *prepared.context;
-  Num none = Ops::One();
-  for (size_t i = 0; i < ctx.components.size(); ++i) {
-    // The cooperative-interruption yield point (CancelToken, solver.h):
-    // components are the natural work quanta of this dispatch, and checking
-    // before each one mirrors the serve layer's per-component-task gate.
-    if (options.cancel != nullptr) {
-      PHOM_RETURN_NOT_OK(options.cancel->Check());
-    }
-    ++stats->components;
-    PHOM_ASSIGN_OR_RETURN(
-        Num p, SolveComponentT<Num>(prepared, ctx.compiled(i),
-                                    ctx.component_classes[i], options, stats));
-    none *= Ops::Complement(p);
-  }
-  return Ops::Complement(none);
-}
-
 // ---------------------------------------------------------------------------
 // The dichotomy's PTIME engines.
 // ---------------------------------------------------------------------------
 
-class TwoWayPathEngine : public Engine {
+/// The componentwise CQ engines: Lemma 3.7 over the instance components,
+/// each solved by SolveComponentT. They differ in the cells they claim; one
+/// that claims hard cells also auto-matches connected-query fallback cells.
+class ComponentwiseCqEngine : public Engine {
  public:
-  std::string_view name() const override { return "connected-on-2wp"; }
-  Algorithm algorithm() const override { return Algorithm::kConnectedOn2wp; }
+  ComponentwiseCqEngine(std::string_view name, Algorithm algorithm,
+                        bool (*applies)(const CaseAnalysis&),
+                        bool claims_hard_cells = false)
+      : name_(name),
+        algorithm_(algorithm),
+        applies_(applies),
+        claims_hard_cells_(claims_hard_cells) {}
+  std::string_view name() const override { return name_; }
+  Algorithm algorithm() const override { return algorithm_; }
   bool componentwise() const override { return true; }
-  bool Applies(const CaseAnalysis& a) const override {
-    return a.query_class.connected && a.instance_class.all_2wp;
+  bool Applies(const CaseAnalysis& a) const override { return applies_(a); }
+  bool AutoMatch(const CaseAnalysis& a) const override {
+    return Applies(a) &&
+           (a.algorithm == algorithm_ ||
+            (claims_hard_cells_ && a.algorithm == Algorithm::kFallback));
   }
   Result<EngineAnswer> Solve(const PreparedProblem& prepared,
                              const SolveOptions& options,
                              SolveStats* stats) const override {
-    return RunInBackend(options.numeric, [&](auto tag) {
-      using Num = typename decltype(tag)::type;
-      return SolvePerComponentT<Num>(prepared, options, stats);
-    });
+    return SolveComponentwise(*this, prepared, options, stats);
   }
-};
 
-class DwtPathEngine : public Engine {
- public:
-  std::string_view name() const override { return "path-on-dwt"; }
-  Algorithm algorithm() const override { return Algorithm::kPathOnDwt; }
-  bool componentwise() const override { return true; }
-  bool Applies(const CaseAnalysis& a) const override {
-    return a.query_class.is_1wp && a.instance_class.all_dwt;
-  }
-  Result<EngineAnswer> Solve(const PreparedProblem& prepared,
-                             const SolveOptions& options,
-                             SolveStats* stats) const override {
-    return RunInBackend(options.numeric, [&](auto tag) {
-      using Num = typename decltype(tag)::type;
-      return SolvePerComponentT<Num>(prepared, options, stats);
-    });
-  }
+ private:
+  std::string_view name_;
+  Algorithm algorithm_;
+  bool (*applies_)(const CaseAnalysis&);
+  bool claims_hard_cells_;
 };
 
 class UnlabeledDwtInstanceEngine : public Engine {
@@ -235,41 +285,15 @@ class PolytreeEngine : public Engine {
     return RunInBackend(options.numeric, [&](auto tag) -> Result<
                                               typename decltype(tag)::type> {
       using Num = typename decltype(tag)::type;
-      using Ops = NumericOps<Num>;
       PolytreeStats s;
-      Num none = Ops::One();
+      IndependentUnionAccumulator<Num> any;
       for (size_t i = 0; i < ctx.components.size(); ++i) {
         PHOM_ASSIGN_OR_RETURN(
             Num p, SolvePathProbabilityOnPolytreeT<Num>(m, ctx.compiled(i), &s));
-        none *= Ops::Complement(p);
+        any.Add(p);
       }
       stats->circuit_gates += s.circuit_gates;
-      return Ops::Complement(none);
-    });
-  }
-};
-
-class PerComponentEngine : public Engine {
- public:
-  std::string_view name() const override { return "per-component"; }
-  Algorithm algorithm() const override { return Algorithm::kPerComponent; }
-  bool componentwise() const override { return true; }
-  bool Applies(const CaseAnalysis& a) const override {
-    return a.query_class.connected;
-  }
-  bool AutoMatch(const CaseAnalysis& a) const override {
-    // Claims its own cells AND connected-query hard cells: enumerating
-    // worlds per component is exponentially cheaper than on the whole
-    // instance, and the tractable components still use their fine engines.
-    return a.query_class.connected && (a.algorithm == Algorithm::kPerComponent ||
-                                       a.algorithm == Algorithm::kFallback);
-  }
-  Result<EngineAnswer> Solve(const PreparedProblem& prepared,
-                             const SolveOptions& options,
-                             SolveStats* stats) const override {
-    return RunInBackend(options.numeric, [&](auto tag) {
-      using Num = typename decltype(tag)::type;
-      return SolvePerComponentT<Num>(prepared, options, stats);
+      return any.Total();
     });
   }
 };
@@ -423,10 +447,26 @@ Result<EngineAnswer> MonteCarloAnswer(const PreparedProblem& prepared,
 }
 
 // ---------------------------------------------------------------------------
-// Within-query component parallelism (solver.h). Lives here because it reuses
-// the same SolveComponentT kernel adapters as the serial componentwise
-// engines — that sharing is what makes the parallel merge bit-identical.
+// Componentwise solving (solver.h). A part is an instance component of a CQ
+// (Lemma 3.7) or a plan unit of a UCQ (lift.h). The engines' serial Solve
+// and the serve layer's fan-out run the same part solve and the same merge,
+// so a fanned-out answer is the serial one by construction.
 // ---------------------------------------------------------------------------
+
+Result<EngineAnswer> SolveComponentwise(const Engine& engine,
+                                        const PreparedProblem& prepared,
+                                        const SolveOptions& options,
+                                        SolveStats* stats) {
+  const ComponentDispatch dispatch{&engine, /*forced=*/false,
+                                   PartCount(prepared)};
+  std::vector<Result<SolveResult>> parts;
+  parts.reserve(dispatch.components);
+  for (size_t i = 0; i < dispatch.components; ++i) {
+    parts.push_back(SolvePreparedComponent(prepared, dispatch, i, options));
+    if (!parts.back().ok()) return parts.back().status();
+  }
+  return MergeParts(prepared, options, parts, stats);
+}
 
 ComponentDispatch PlanComponentDispatch(const PreparedProblem& prepared,
                                         const SolveOptions& options) {
@@ -434,16 +474,12 @@ ComponentDispatch PlanComponentDispatch(const PreparedProblem& prepared,
   if (prepared.immediate.has_value() || prepared.context == nullptr) {
     return plan;
   }
-  // A UCQ fans out over its plan's UNITS (the leaves of the lifted plan),
-  // not over instance components: each unit is itself a full single-CQ
-  // solve. A non-compilable plan has no units and stays serial, so its
-  // typed error surfaces through the ordinary SolvePrepared path.
-  const size_t n = prepared.ucq != nullptr
-                       ? prepared.ucq->plan.units.size()
-                       : prepared.context->components.size();
-  if (n < 2) return plan;  // one component: a single SolvePrepared task is best
+  // A non-compilable UCQ plan has no units and stays serial, so its typed
+  // error surfaces through the ordinary SolvePrepared path.
+  const size_t n = PartCount(prepared);
+  if (n < 2) return plan;  // one part: a single SolvePrepared task is best
   // The ONE registry scan of a componentwise query (shared_mutex inside):
-  // every component task reuses this plan instead of re-resolving.
+  // every part task reuses this plan instead of re-resolving.
   bool forced = false;
   Result<const Engine*> engine = SelectEngineForProblem(
       EngineRegistry::Global(), prepared, options, &forced);
@@ -458,43 +494,37 @@ ComponentDispatch PlanComponentDispatch(const PreparedProblem& prepared,
   return plan;
 }
 
-size_t PreparedComponentParallelism(const PreparedProblem& prepared,
-                                    const SolveOptions& options) {
-  return PlanComponentDispatch(prepared, options).components;
-}
-
 Result<SolveResult> SolvePreparedComponent(const PreparedProblem& prepared,
                                            const ComponentDispatch& dispatch,
                                            size_t component_index,
                                            const SolveOptions& options) {
-  // Same yield point as the serial per-component loop, so an interrupted
-  // parallel dispatch fails exactly where its serial twin would.
+  // The yield point between parts: an interrupted solve fails at the same
+  // part boundary whether serial or fanned out.
   if (options.cancel != nullptr) {
     PHOM_RETURN_NOT_OK(options.cancel->Check());
-  }
-  if (prepared.ucq != nullptr) {
-    // UCQ fan-out: one task per lifted-plan unit (PlanComponentDispatch
-    // sized the dispatch accordingly); the combine replays the safe plan.
-    PHOM_CHECK_MSG(dispatch.components == prepared.ucq->plan.units.size() &&
-                       component_index < dispatch.components,
-                   "SolvePreparedComponent outside a UCQ unit dispatch");
-    return lifted::SolveUcqUnit(prepared, component_index, options);
   }
   const Engine* engine = dispatch.engine;
   PHOM_CHECK_MSG(engine != nullptr && engine->componentwise() &&
                      prepared.context != nullptr &&
-                     dispatch.components ==
-                         prepared.context->components.size() &&
+                     dispatch.components == PartCount(prepared) &&
                      component_index < dispatch.components,
                  "SolvePreparedComponent outside a componentwise dispatch");
+  if (prepared.ucq != nullptr) {
+    // A UCQ unit is a whole CQ solve through the registry. The UCQ-level
+    // force is satisfied by being here; every other force passes through.
+    SolveOptions unit_options = options;
+    if (unit_options.force_engine == "lifted-ucq") {
+      unit_options.force_engine.clear();
+    }
+    if (unit_options.force_algorithm == Algorithm::kLiftedUcq) {
+      unit_options.force_algorithm.reset();
+    }
+    return SolvePrepared(prepared.ucq->plan.units[component_index].prepared,
+                         unit_options);
+  }
   SolveResult out;
-  out.analysis = prepared.analysis;
-  out.numeric = options.numeric;
-  out.stats.primary =
-      dispatch.forced ? engine->algorithm() : prepared.analysis.algorithm;
-  out.stats.engine = std::string(engine->name());
+  out.stats.components = 1;
   const InstanceContext& ctx = *prepared.context;
-  ++out.stats.components;
   const CancelToken::Clock::time_point kernel_start =
       CancelToken::Clock::now();
   PHOM_ASSIGN_OR_RETURN(
@@ -506,90 +536,46 @@ Result<SolveResult> SolvePreparedComponent(const PreparedProblem& prepared,
                                     options, &out.stats);
       }));
   out.stats.duration = CancelToken::Clock::now() - kernel_start;
-  out.probability = std::move(answer.exact);
-  out.probability_double = answer.approx;
-  out.bound = answer.bound;
-  out.numeric = answer.backend;
+  PublishAnswer(std::move(answer), &out);
   return out;
 }
 
 Result<SolveResult> CombinePreparedComponents(
     const PreparedProblem& prepared, const ComponentDispatch& dispatch,
-    const SolveOptions& options,
-    std::vector<Result<SolveResult>> components) {
-  if (prepared.ucq != nullptr) {
-    // Unit answers merge through the lifted plan's evaluator, not through
-    // Lemma 3.7 (units are NOT independent instance components).
-    return lifted::CombineUcqUnitResults(prepared, options,
-                                         std::move(components));
-  }
+    const SolveOptions& options, std::vector<Result<SolveResult>> parts) {
   const Engine* engine = dispatch.engine;
-  PHOM_CHECK_MSG(engine != nullptr && prepared.context != nullptr &&
-                     components.size() == prepared.context->components.size(),
-                 "CombinePreparedComponents arity mismatch");
+  PHOM_CHECK_MSG(engine != nullptr,
+                 "CombinePreparedComponents outside a componentwise dispatch");
   SolveResult out;
   out.analysis = prepared.analysis;
-  out.numeric = options.numeric;
   out.stats.primary =
       dispatch.forced ? engine->algorithm() : prepared.analysis.algorithm;
   out.stats.engine = std::string(engine->name());
-  for (size_t i = 0; i < components.size(); ++i) {
-    // Serial SolvePerComponentT stops at the first failing component in
-    // index order; reproduce exactly that error.
-    if (!components[i].ok()) return components[i].status();
-    const SolveStats& s = components[i]->stats;
-    out.stats.components += s.components;
-    out.stats.fallback_components += s.fallback_components;
-    out.stats.worlds += s.worlds;
-    out.stats.hom_tests += s.hom_tests;
-    out.stats.lineage_clauses += s.lineage_clauses;
-    out.stats.circuit_gates += s.circuit_gates;
-    out.stats.match_ends += s.match_ends;
-    out.stats.duration += s.duration;
-  }
-  // Lemma 3.7 in component-index order — the same operations, in the same
-  // order, as the serial combine in SolvePerComponentT, so the merged answer
-  // is bit-identical in every backend.
-  if (options.numeric == NumericBackend::kExact) {
-    Rational none = Rational::One();
-    for (const Result<SolveResult>& c : components) {
-      none *= c->probability.Complement();
-    }
-    out.probability = none.Complement();
-    out.probability_double = out.probability.ToDouble();
-    out.bound = CertifiedPointBound(out.probability);
-  } else if (options.numeric == NumericBackend::kIntervalDouble) {
-    // Each component's bound IS its kernel enclosure (SolvePreparedComponent
-    // copies it verbatim), so replaying the serial combine on the intervals
-    // reproduces the serial interval answer — and its certificate — bit for
-    // bit. A component that fell back to an uncertified bound (impossible
-    // today, defensive tomorrow) taints the merged certificate.
-    using Ops = NumericOps<IntervalDouble>;
-    IntervalDouble none = Ops::One();
-    bool certified = true;
-    for (const Result<SolveResult>& c : components) {
-      none *= Ops::Complement(IntervalDouble(c->bound.lo, c->bound.hi));
-      certified = certified && c->bound.certified;
-    }
-    const IntervalDouble enclosure = Ops::Complement(none);
-    out.probability_double = enclosure.midpoint();
-    out.bound = ProbabilityBound{enclosure.lo, enclosure.hi, certified};
-  } else {
-    double none = 1.0;
-    for (const Result<SolveResult>& c : components) {
-      none *= 1.0 - c->probability_double;
-    }
-    out.probability_double = 1.0 - none;
-  }
+  PHOM_ASSIGN_OR_RETURN(EngineAnswer answer,
+                        MergeParts(prepared, options, parts, &out.stats));
+  PublishAnswer(std::move(answer), &out);
   return out;
 }
 
 void RegisterDefaultEngines(EngineRegistry* registry) {
-  registry->Register(std::make_unique<TwoWayPathEngine>());
-  registry->Register(std::make_unique<DwtPathEngine>());
+  registry->Register(std::make_unique<ComponentwiseCqEngine>(
+      "connected-on-2wp", Algorithm::kConnectedOn2wp,
+      [](const CaseAnalysis& a) {
+        return a.query_class.connected && a.instance_class.all_2wp;
+      }));
+  registry->Register(std::make_unique<ComponentwiseCqEngine>(
+      "path-on-dwt", Algorithm::kPathOnDwt, [](const CaseAnalysis& a) {
+        return a.query_class.is_1wp && a.instance_class.all_dwt;
+      }));
   registry->Register(std::make_unique<UnlabeledDwtInstanceEngine>());
   registry->Register(std::make_unique<PolytreeEngine>());
-  registry->Register(std::make_unique<PerComponentEngine>());
+  // Claims its own cells AND connected-query hard cells: enumerating worlds
+  // per component is exponentially cheaper than on the whole instance, and
+  // the tractable components still use their fine engines.
+  registry->Register(std::make_unique<ComponentwiseCqEngine>(
+      "per-component", Algorithm::kPerComponent,
+      [](const CaseAnalysis& a) { return a.query_class.connected; },
+      /*claims_hard_cells=*/true));
   registry->Register(std::make_unique<FallbackEngine>());
   registry->Register(std::make_unique<DwtLineageShannonEngine>());
   registry->Register(std::make_unique<MatchLineageEngine>());

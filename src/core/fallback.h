@@ -62,27 +62,6 @@ Result<Num> SolveByMatchLineageT(const DiGraph& query,
                                  const FallbackOptions& options,
                                  FallbackStats* stats);
 
-extern template Result<Rational> SolveByWorldEnumerationT<Rational>(
-    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
-    FallbackStats*);
-extern template Result<double> SolveByWorldEnumerationT<double>(
-    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
-    FallbackStats*);
-extern template Result<IntervalDouble>
-SolveByWorldEnumerationT<IntervalDouble>(const DiGraph&,
-                                         const CompiledComponent&,
-                                         const FallbackOptions&,
-                                         FallbackStats*);
-extern template Result<Rational> SolveByMatchLineageT<Rational>(
-    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
-    FallbackStats*);
-extern template Result<double> SolveByMatchLineageT<double>(
-    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
-    FallbackStats*);
-extern template Result<IntervalDouble> SolveByMatchLineageT<IntervalDouble>(
-    const DiGraph&, const CompiledComponent&, const FallbackOptions&,
-    FallbackStats*);
-
 /// Exact-backend conveniences (the historical entry points), compiling
 /// `instance` for the one call.
 inline Result<Rational> SolveByWorldEnumeration(

@@ -126,16 +126,20 @@ Result<SolveResult> RunEngine(SolveResult out, std::string_view engine,
       CancelToken::Clock::now();
   PHOM_ASSIGN_OR_RETURN(EngineAnswer answer, solve(&out.stats));
   out.stats.duration = CancelToken::Clock::now() - engine_start;
-  out.probability = std::move(answer.exact);
-  out.probability_double = answer.approx;
-  out.bound = answer.bound;
-  out.relative_error_95 = answer.relative_error_95;
-  out.numeric = answer.backend;  // what the engine actually computed in
-  out.degrade = answer.degrade;  // truncation provenance (Monte Carlo)
+  PublishAnswer(std::move(answer), &out);
   return out;
 }
 
 }  // namespace
+
+void PublishAnswer(EngineAnswer answer, SolveResult* out) {
+  out->probability = std::move(answer.exact);
+  out->probability_double = answer.approx;
+  out->bound = answer.bound;
+  out->relative_error_95 = answer.relative_error_95;
+  out->numeric = answer.backend;  // what the engine actually computed in
+  out->degrade = answer.degrade;  // truncation provenance (Monte Carlo)
+}
 
 Result<SolveResult> SolvePrepared(const PreparedProblem& prepared,
                                   const SolveOptions& options) {

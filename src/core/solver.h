@@ -39,8 +39,8 @@ class Engine;
 struct Ucq;  // src/graph/ucq.h
 
 // CancelToken (cooperative interruption) lives in src/util/status.h so the
-// leaf kernels can hold one; dispatch consults it before each component
-// subproblem of a componentwise engine (Lemma 3.7 loop), and the kernels
+// leaf kernels can hold one; dispatch consults it before each part of a
+// componentwise engine (SolvePreparedComponent), and the kernels
 // consult it INSIDE their world-enumeration / match-enumeration / sampling
 // loops (FallbackOptions / MonteCarloOptions).
 
@@ -278,7 +278,7 @@ struct ProbabilityBound {
 
 /// Certified outward-rounded point enclosure of an exactly-known answer
 /// (NumericOps<IntervalDouble>::From proves it by Rational comparison).
-/// Shared by dispatch, the component merges, and the lifted UCQ combine.
+/// Shared by dispatch and the componentwise merge.
 ProbabilityBound CertifiedPointBound(const Rational& p);
 
 /// The error story an answer carries — the provenance column the serve
@@ -406,59 +406,58 @@ bool DegradeOnDeadlineMiss(const PreparedProblem& prepared,
                            Result<SolveResult>* result);
 
 // ---------------------------------------------------------------------------
-// Within-query component parallelism (used by the serve layer, serve/).
+// Componentwise solving (used by the serve layer, serve/).
 //
-// When dispatch routes a prepared problem through a componentwise engine
-// (Engine::componentwise(): the Lemma 3.7 per-component combine), the
-// component subproblems are independent and may be solved on different
-// threads. PlanComponentDispatch resolves the engine ONCE per query (the
-// registry scan takes a shared_mutex — re-resolving per component task made
-// the lock a hot spot under fan-out); SolvePreparedComponent solves one
-// component against the plan; the index-ordered CombinePreparedComponents
-// merge then reproduces SolvePrepared's answer BIT FOR BIT (same operations
-// in the same order, in both numeric backends).
+// A componentwise engine (Engine::componentwise()) solves independent PARTS
+// — the instance components of a connected CQ (Lemma 3.7) or the units of a
+// UCQ plan (lift.h) — each with SolvePreparedComponent, and merges them in
+// index order with CombinePreparedComponents. Its serial Solve runs exactly
+// these two functions, so a fan-out that solves the parts on different
+// threads returns SolvePrepared's answer BIT FOR BIT, by construction.
+// PlanComponentDispatch resolves the engine ONCE per query (the registry
+// scan takes a shared_mutex — re-resolving per part task made the lock a
+// hot spot).
 // ---------------------------------------------------------------------------
 
 /// A componentwise dispatch plan: the engine resolved once per query, shared
-/// by every component task. Valid for the registry's lifetime (engines are
-/// never removed).
+/// by every part task. Valid for the registry's lifetime (engines are never
+/// removed).
 struct ComponentDispatch {
   /// Non-null iff the problem should be fanned out (then componentwise).
   const Engine* engine = nullptr;
   /// The selection was forced (the caller reports the engine's own
   /// algorithm as primary, exactly like SolvePrepared).
   bool forced = false;
-  /// Independent component subproblems, 0 when the problem is not
-  /// componentwise (immediate answers, whole-forest engines, engine-
-  /// selection errors — which must surface through the ordinary
-  /// SolvePrepared path, identically — or fewer than two components);
-  /// callers solve such problems with one SolvePrepared call.
+  /// Independent parts, 0 when the problem is not componentwise (immediate
+  /// answers, whole-forest engines, engine-selection errors — which must
+  /// surface through the ordinary SolvePrepared path, identically — or
+  /// fewer than two parts); callers solve such problems with one
+  /// SolvePrepared call.
   size_t components = 0;
 };
 
 ComponentDispatch PlanComponentDispatch(const PreparedProblem& prepared,
                                         const SolveOptions& options);
 
-/// Convenience: PlanComponentDispatch(prepared, options).components.
-size_t PreparedComponentParallelism(const PreparedProblem& prepared,
-                                    const SolveOptions& options);
-
-/// Solves component `component_index` only, against a plan from
-/// PlanComponentDispatch (requires dispatch.engine != nullptr and
-/// component_index < dispatch.components — no registry access happens
-/// here). The result's probability is the component's own success
-/// probability (NOT yet combined) plus that component's stats.
+/// Solves part `component_index` only, against a plan from
+/// PlanComponentDispatch (no registry access happens here); checks
+/// options.cancel first. An instance component's result carries its own
+/// probability (NOT yet combined), counters and kernel time, but no
+/// analysis, engine or primary: the merge sets those. A UCQ unit's result is
+/// the unit's SolvePrepared answer.
 Result<SolveResult> SolvePreparedComponent(const PreparedProblem& prepared,
                                            const ComponentDispatch& dispatch,
                                            size_t component_index,
                                            const SolveOptions& options);
 
-/// Merges per-component results (aligned with component indices) into the
-/// answer SolvePrepared would produce: first failing component's status in
-/// index order, else the Lemma 3.7 combine and summed stats.
+/// Merges part results (aligned with part indices) into the answer
+/// SolvePrepared would produce: the first failing part's status in index
+/// order, else the parts folded in options.numeric's backend (components by
+/// Lemma 3.7, units through the plan) with summed counters and kernel time.
+/// An interval answer is certified iff every part's bound is.
 Result<SolveResult> CombinePreparedComponents(
     const PreparedProblem& prepared, const ComponentDispatch& dispatch,
-    const SolveOptions& options, std::vector<Result<SolveResult>> components);
+    const SolveOptions& options, std::vector<Result<SolveResult>> parts);
 
 /// One-call convenience. Always exact: a stray options.numeric = kDouble is
 /// overridden to kExact (the Rational return type promises exactness).

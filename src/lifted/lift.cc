@@ -292,20 +292,35 @@ struct PlanBuilder {
   }
 };
 
-Status CheckUcqPlan(const PreparedUcq& ucq) {
-  if (ucq.plan.root < 0) {
-    return Status::NotSupported(ucq.plan.not_liftable_reason.empty()
-                                    ? std::string("UCQ plan compilation failed")
-                                    : ucq.plan.not_liftable_reason);
+class LiftedUcqEngine : public Engine {
+ public:
+  std::string_view name() const override { return "lifted-ucq"; }
+  Algorithm algorithm() const override { return Algorithm::kLiftedUcq; }
+  bool componentwise() const override { return true; }
+  bool Applies(const CaseAnalysis& analysis) const override {
+    return analysis.algorithm == Algorithm::kLiftedUcq;
   }
-  return Status::OK();
-}
+  Result<EngineAnswer> Solve(const PreparedProblem& prepared,
+                             const SolveOptions& options,
+                             SolveStats* stats) const override {
+    if (prepared.ucq == nullptr) {
+      return Status::NotSupported(
+          "lifted-ucq requires a UCQ prepared by lifted::PrepareUcq");
+    }
+    return SolveComponentwise(*this, prepared, options, stats);
+  }
+};
 
-/// Forward evaluation of the plan circuit over per-unit leaf values, in one
-/// backend. The SAME function runs for the serial engine and the executor
-/// merge — the bit-identity guarantee is this sharing.
+}  // namespace
+
 template <class Num>
-Num EvaluatePlan(const UcqEvalPlan& plan, const std::vector<Num>& units) {
+Result<Num> EvaluatePlan(const UcqEvalPlan& plan,
+                         const std::vector<Num>& units) {
+  if (plan.root < 0) {
+    return Status::NotSupported(plan.not_liftable_reason.empty()
+                                    ? std::string("UCQ plan compilation failed")
+                                    : plan.not_liftable_reason);
+  }
   using Ops = NumericOps<Num>;
   std::vector<Num> value(plan.nodes.size(), Ops::Zero());
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
@@ -318,11 +333,9 @@ Num EvaluatePlan(const UcqEvalPlan& plan, const std::vector<Num>& units) {
         value[i] = units[static_cast<size_t>(node.unit)];
         break;
       case LiftedOp::kIndependentUnion: {
-        Num none = Ops::One();
-        for (int32_t c : node.children) {
-          none *= Ops::Complement(value[static_cast<size_t>(c)]);
-        }
-        value[i] = Ops::Complement(none);
+        IndependentUnionAccumulator<Num> any;
+        for (int32_t c : node.children) any.Add(value[static_cast<size_t>(c)]);
+        value[i] = any.Total();
         break;
       }
       case LiftedOp::kIndependentJoin: {
@@ -379,55 +392,12 @@ Num EvaluatePlan(const UcqEvalPlan& plan, const std::vector<Num>& units) {
   return value[static_cast<size_t>(plan.root)];
 }
 
-class LiftedUcqEngine : public Engine {
- public:
-  std::string_view name() const override { return "lifted-ucq"; }
-  Algorithm algorithm() const override { return Algorithm::kLiftedUcq; }
-  bool componentwise() const override { return true; }
-  bool Applies(const CaseAnalysis& analysis) const override {
-    return analysis.algorithm == Algorithm::kLiftedUcq;
-  }
-  Result<EngineAnswer> Solve(const PreparedProblem& prepared,
-                             const SolveOptions& options,
-                             SolveStats* stats) const override {
-    if (prepared.ucq == nullptr) {
-      return Status::NotSupported(
-          "lifted-ucq requires a UCQ prepared by lifted::PrepareUcq");
-    }
-    PHOM_RETURN_NOT_OK(CheckUcqPlan(*prepared.ucq));
-    const size_t n = prepared.ucq->plan.units.size();
-    std::vector<Result<SolveResult>> parts;
-    parts.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Result<SolveResult> unit = SolveUcqUnit(prepared, i, options);
-      // Stopping at the first failure in index order returns exactly the
-      // status CombineUcqUnitResults would pick from complete results.
-      if (!unit.ok()) return unit.status();
-      parts.push_back(std::move(unit));
-    }
-    PHOM_ASSIGN_OR_RETURN(
-        SolveResult combined,
-        CombineUcqUnitResults(prepared, options, std::move(parts)));
-    stats->components += combined.stats.components;
-    stats->fallback_components += combined.stats.fallback_components;
-    stats->worlds += combined.stats.worlds;
-    stats->hom_tests += combined.stats.hom_tests;
-    stats->lineage_clauses += combined.stats.lineage_clauses;
-    stats->circuit_gates += combined.stats.circuit_gates;
-    stats->match_ends += combined.stats.match_ends;
-    stats->ucq_disjuncts = combined.stats.ucq_disjuncts;
-    stats->ucq_units = combined.stats.ucq_units;
-    stats->ucq_verdict = combined.stats.ucq_verdict;
-    EngineAnswer out;
-    out.backend = combined.numeric;
-    out.exact = std::move(combined.probability);
-    out.approx = combined.probability_double;
-    out.bound = combined.bound;
-    return out;
-  }
-};
-
-}  // namespace
+template Result<Rational> EvaluatePlan<Rational>(
+    const UcqEvalPlan&, const std::vector<Rational>&);
+template Result<double> EvaluatePlan<double>(const UcqEvalPlan&,
+                                             const std::vector<double>&);
+template Result<IntervalDouble> EvaluatePlan<IntervalDouble>(
+    const UcqEvalPlan&, const std::vector<IntervalDouble>&);
 
 PreparedProblem PrepareUcqWithProvider(
     const Ucq& ucq, size_t instance_num_vertices,
@@ -513,98 +483,6 @@ PreparedProblem PrepareUcq(const Ucq& ucq, const ProbGraph& instance) {
       [&instance](const std::vector<LabelId>& labels) {
         return BuildInstanceContext(instance, labels);
       });
-}
-
-Result<SolveResult> SolveUcqUnit(const PreparedProblem& prepared,
-                                 size_t unit_index,
-                                 const SolveOptions& options) {
-  PHOM_CHECK_MSG(prepared.ucq != nullptr &&
-                     unit_index < prepared.ucq->plan.units.size(),
-                 "SolveUcqUnit outside a prepared UCQ");
-  // Same yield point as the per-component loops: an interrupted UCQ solve
-  // fails at a unit boundary whether serial or fanned out.
-  if (options.cancel != nullptr) {
-    PHOM_RETURN_NOT_OK(options.cancel->Check());
-  }
-  SolveOptions unit_options = options;
-  // The UCQ-level force is satisfied by being here; units are plain CQs.
-  if (unit_options.force_engine == "lifted-ucq") {
-    unit_options.force_engine.clear();
-  }
-  if (unit_options.force_algorithm == Algorithm::kLiftedUcq) {
-    unit_options.force_algorithm.reset();
-  }
-  return SolvePrepared(prepared.ucq->plan.units[unit_index].prepared,
-                       unit_options);
-}
-
-Result<SolveResult> CombineUcqUnitResults(
-    const PreparedProblem& prepared, const SolveOptions& options,
-    std::vector<Result<SolveResult>> units) {
-  PHOM_CHECK_MSG(prepared.ucq != nullptr,
-                 "CombineUcqUnitResults outside a prepared UCQ");
-  const PreparedUcq& ucq = *prepared.ucq;
-  PHOM_RETURN_NOT_OK(CheckUcqPlan(ucq));
-  PHOM_CHECK_MSG(units.size() == ucq.plan.units.size(),
-                 "CombineUcqUnitResults arity mismatch");
-  SolveResult out;
-  out.analysis = prepared.analysis;
-  out.numeric = options.numeric;
-  out.stats.primary = Algorithm::kLiftedUcq;
-  out.stats.engine = "lifted-ucq";
-  for (size_t i = 0; i < units.size(); ++i) {
-    // The serial engine stops at the first failing unit in index order;
-    // reproduce exactly that error.
-    if (!units[i].ok()) return units[i].status();
-    const SolveStats& s = units[i]->stats;
-    out.stats.components += s.components;
-    out.stats.fallback_components += s.fallback_components;
-    out.stats.worlds += s.worlds;
-    out.stats.hom_tests += s.hom_tests;
-    out.stats.lineage_clauses += s.lineage_clauses;
-    out.stats.circuit_gates += s.circuit_gates;
-    out.stats.match_ends += s.match_ends;
-    out.stats.duration += s.duration;
-  }
-  out.stats.ucq_disjuncts = ucq.normalized.disjuncts.size();
-  out.stats.ucq_units = units.size();
-  out.stats.ucq_verdict =
-      ucq.plan.lifted ? std::string("lifted")
-                      : "not-liftable: " + ucq.plan.not_liftable_reason;
-
-  if (options.numeric == NumericBackend::kExact) {
-    std::vector<Rational> values;
-    values.reserve(units.size());
-    for (const Result<SolveResult>& u : units) {
-      values.push_back(u->probability);
-    }
-    out.probability = EvaluatePlan<Rational>(ucq.plan, values);
-    out.probability_double = out.probability.ToDouble();
-    out.bound = CertifiedPointBound(out.probability);
-  } else if (options.numeric == NumericBackend::kIntervalDouble) {
-    // Each unit's bound IS its kernel enclosure; replaying the plan on the
-    // intervals reproduces the serial interval answer bit for bit. A unit
-    // with an uncertified bound (impossible today — units run exact
-    // engines — defensive tomorrow) taints the merged certificate.
-    std::vector<IntervalDouble> values;
-    values.reserve(units.size());
-    bool certified = true;
-    for (const Result<SolveResult>& u : units) {
-      values.emplace_back(u->bound.lo, u->bound.hi);
-      certified = certified && u->bound.certified;
-    }
-    const IntervalDouble enclosure = EvaluatePlan<IntervalDouble>(ucq.plan, values);
-    out.probability_double = enclosure.midpoint();
-    out.bound = ProbabilityBound{enclosure.lo, enclosure.hi, certified};
-  } else {
-    std::vector<double> values;
-    values.reserve(units.size());
-    for (const Result<SolveResult>& u : units) {
-      values.push_back(u->probability_double);
-    }
-    out.probability_double = EvaluatePlan<double>(ucq.plan, values);
-  }
-  return out;
 }
 
 std::unique_ptr<Engine> MakeLiftedUcqEngine() {

@@ -37,9 +37,9 @@
 /// "lifted-ucq" force itself stripped to avoid recursion), numeric
 /// backends, cancellation, and stats exactly like a single-CQ solve.
 ///
-/// SolveUcqUnit + CombineUcqUnitResults are the shared halves used by BOTH
-/// the serial engine and the serve executor's per-unit fan-out — one code
-/// path, so parallel UCQ answers are bit-identical to serial ones.
+/// The lifted engine is componentwise (engine.h): its units are the parts
+/// that SolvePreparedComponent solves and CombinePreparedComponents merges,
+/// serially and in the serve executor's per-unit fan-out alike.
 
 namespace phom {
 class Engine;
@@ -70,26 +70,17 @@ PreparedProblem PrepareUcqWithProvider(const Ucq& ucq,
                                        size_t instance_num_vertices,
                                        const InstanceContextProvider& provider);
 
-/// Solves plan unit `unit_index` of a prepared UCQ through the ordinary
-/// engine registry (SolvePrepared). Checks options.cancel first; strips a
-/// forced "lifted-ucq" selection (units are CQs) and passes every other
-/// force through. PHOM_CHECKs that `prepared` carries a UCQ plan.
-Result<SolveResult> SolveUcqUnit(const PreparedProblem& prepared,
-                                 size_t unit_index,
-                                 const SolveOptions& options);
+/// Forward evaluation of the plan over the unit values (aligned with
+/// plan.units) in one backend, Num = Rational, double or IntervalDouble:
+/// the unit fold of CombinePreparedComponents. NotSupported with the
+/// compiler's reason when the plan did not compile (root < 0).
+template <class Num>
+Result<Num> EvaluatePlan(const UcqEvalPlan& plan,
+                         const std::vector<Num>& units);
 
-/// Merges per-unit results (aligned with plan unit indices) into the final
-/// UCQ answer: first failing unit's status in index order, else the plan
-/// evaluated over the unit values in options.numeric's backend, with summed
-/// stats and the ucq_* provenance fields filled. Shared by the serial
-/// lifted engine and the executor's parallel merge (bit-identity).
-Result<SolveResult> CombineUcqUnitResults(const PreparedProblem& prepared,
-                                          const SolveOptions& options,
-                                          std::vector<Result<SolveResult>> units);
-
-/// The "lifted-ucq" engine registered by RegisterDefaultEngines: serial
-/// unit solves + CombineUcqUnitResults. componentwise() is true — units are
-/// the fan-out granularity the serve layer parallelizes over.
+/// The "lifted-ucq" engine registered by RegisterDefaultEngines: a
+/// componentwise engine whose parts are the plan units, the fan-out
+/// granularity the serve layer parallelizes over.
 std::unique_ptr<Engine> MakeLiftedUcqEngine();
 
 }  // namespace phom::lifted

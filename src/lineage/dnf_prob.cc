@@ -145,12 +145,12 @@ class ShannonEvaluator {
     std::vector<Clauses> groups = SplitVariableComponents(clauses);
     if (groups.size() > 1) {
       if (stats_ != nullptr) ++stats_->component_splits;
-      Num none = Ops::One();  // Pr(no component true)
+      IndependentUnionAccumulator<Num> any;
       for (Clauses& group : groups) {
-        none *= Ops::Complement(Eval(std::move(group)));
+        any.Add(Eval(std::move(group)));
         if (exhausted_) return Ops::Zero();
       }
-      return Ops::Complement(none);
+      return any.Total();
     }
 
     // Branch on the variable of minimal rank occurring in the formula.

@@ -61,16 +61,6 @@ Result<Num> DnfProbabilityShannonT(const MonotoneDnf& dnf,
                                    const ShannonOptions& options = {},
                                    ShannonStats* stats = nullptr);
 
-extern template Result<Rational> DnfProbabilityShannonT<Rational>(
-    const MonotoneDnf&, const std::vector<Rational>&, const ShannonOptions&,
-    ShannonStats*);
-extern template Result<double> DnfProbabilityShannonT<double>(
-    const MonotoneDnf&, const std::vector<double>&, const ShannonOptions&,
-    ShannonStats*);
-extern template Result<IntervalDouble> DnfProbabilityShannonT<IntervalDouble>(
-    const MonotoneDnf&, const std::vector<IntervalDouble>&,
-    const ShannonOptions&, ShannonStats*);
-
 /// Exact-backend convenience (the historical entry point).
 inline Result<Rational> DnfProbabilityShannon(
     const MonotoneDnf& dnf, const std::vector<Rational>& probs,

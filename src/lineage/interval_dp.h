@@ -33,16 +33,6 @@ Num IntervalDnfProbabilityT(const std::vector<Num>& probs,
                             const std::vector<uint32_t>& path,
                             std::vector<EdgeInterval> intervals);
 
-extern template Rational IntervalDnfProbabilityT<Rational>(
-    const std::vector<Rational>&, const std::vector<uint32_t>&,
-    std::vector<EdgeInterval>);
-extern template double IntervalDnfProbabilityT<double>(
-    const std::vector<double>&, const std::vector<uint32_t>&,
-    std::vector<EdgeInterval>);
-extern template IntervalDouble IntervalDnfProbabilityT<IntervalDouble>(
-    const std::vector<IntervalDouble>&, const std::vector<uint32_t>&,
-    std::vector<EdgeInterval>);
-
 /// Exact-backend convenience (the historical entry point): edge k has
 /// probability edge_probs[k].
 inline Rational IntervalDnfProbability(const std::vector<Rational>& edge_probs,

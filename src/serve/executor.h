@@ -21,8 +21,9 @@
 
 /// \file executor.h
 /// Parallel batch serving: a fixed-size thread pool that fans requests —
-/// and, within a request, the independent instance components of a
-/// componentwise dispatch (solver.h) — out over worker threads.
+/// and, within a request, the independent parts (instance components or
+/// UCQ plan units) of a componentwise dispatch (solver.h) — out over worker
+/// threads.
 ///
 /// SCHEDULING CORE (this is the work-stealing rebuild of the original
 /// single-global-queue dispatch; see README "Scheduling internals"):
@@ -111,11 +112,12 @@
 /// backends), stats, analyses and error statuses. This holds because
 ///   * every result is written to its own ticket (no completion-order
 ///     dependence),
-///   * per-request component answers land in PREASSIGNED slots (parts[i]),
-///     and are merged in component-index order with exactly the serial
-///     combine (CombinePreparedComponents) by whichever task finishes last
-///     — so WHERE a task ran (owner pop, steal, injection, inline) can
-///     never reach the arithmetic,
+///   * per-request part answers land in PREASSIGNED slots (parts[i]),
+///     and whichever task finishes last merges them in part-index order;
+///     the part solve (SolvePreparedComponent) and the merge
+///     (CombinePreparedComponents) are the very functions the engine's
+///     serial Solve runs — so WHERE a task ran (owner pop, steal,
+///     injection, inline) can never reach the arithmetic,
 ///   * the Monte Carlo engine derives a fresh Rng stream from the
 ///     per-request seed inside each task (EstimateProbabilityMonteCarlo is
 ///     a pure function of (query, instance, seed)), so no thread shares
@@ -144,9 +146,9 @@ struct ExecutorOptions {
   /// heap holds up to the same (rounded) number of entries before the
   /// displace-inline overflow policy fires.
   size_t queue_capacity = 1024;
-  /// Fan the independent instance components of a componentwise dispatch
-  /// out as separate tasks (within-query parallelism). Off = one task per
-  /// request. Results are identical either way.
+  /// Fan the independent parts of a componentwise dispatch out as separate
+  /// tasks (within-query parallelism). Off = one task per request. Results
+  /// are identical either way.
   bool split_components = true;
   /// Learned latency model (cost_model.h) consulted once per Submit via an
   /// immutable snapshot: the expected cost sets the slack-ordering effective

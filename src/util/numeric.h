@@ -180,6 +180,20 @@ class DisjointSumAccumulator<IntervalDouble> {
   interval_internal::UpSum hi_;
 };
 
+/// Streaming Pr(∨ parts) of INDEPENDENT events, 1 − Π(1 − p_i): Lemma 3.7
+/// across instance components, and the independent-union node of a safe
+/// plan. Add folds `none *= 1 − p` in call order and Total complements once,
+/// so every backend reproduces the plain loop bit for bit.
+template <class Num>
+class IndependentUnionAccumulator {
+ public:
+  void Add(const Num& p) { none_ *= NumericOps<Num>::Complement(p); }
+  Num Total() const { return NumericOps<Num>::Complement(none_); }
+
+ private:
+  Num none_ = NumericOps<Num>::One();  ///< Pr(no part holds)
+};
+
 /// The instance's exact edge probabilities converted into the backend type.
 template <class Num>
 std::vector<Num> ConvertProbs(const std::vector<Rational>& probs) {

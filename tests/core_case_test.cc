@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/graph/builders.h"
+#include "src/graph/classify.h"
 #include "src/graph/generators.h"
 
 namespace phom {
@@ -190,6 +194,68 @@ TEST(Case, CollapseReporting) {
   EXPECT_TRUE(a.query_collapsed);
   EXPECT_EQ(a.collapsed_length, 3);  // height of the deepest component
   EXPECT_TRUE(a.query_class.is_1wp);
+}
+
+/// Step 3 gives the collapsed →^m its class and label word by construction;
+/// both must be what Classify and OneWayPathLabels read off the built path,
+/// and the cell what the classified path names.
+void ExpectCollapsedPathByConstruction(const PreparedProblem& p) {
+  ASSERT_FALSE(p.immediate.has_value());
+  ASSERT_TRUE(p.analysis.query_collapsed);
+  EXPECT_EQ(p.query.num_edges(),
+            static_cast<size_t>(p.analysis.collapsed_length));
+  const Classification built = Classify(p.query);
+  EXPECT_EQ(p.analysis.query_class, built);
+  EXPECT_EQ(p.query_path_labels, OneWayPathLabels(p.query));
+  EXPECT_EQ(p.analysis.cell, "PHom!L(" + TableClassLabel(built) + ", " +
+                                 TableClassLabel(p.analysis.instance_class) +
+                                 ")");
+}
+
+TEST(Case, CollapsedPathClassAndLabelsByConstruction) {
+  Rng rng(30);
+  // Prop. 5.5: unlabeled ⊔DWT queries on ⊔PT instances. A small positive
+  // depth bias grows deep trees, so heights run from 1 past 64.
+  std::set<int64_t> dwt_lengths;
+  for (size_t n = 2; n <= 90; n += 4) {
+    for (const double bias : {0.0, 0.05}) {
+      const DiGraph query = RandomDisjointUnion(
+          &rng, 1 + n % 3,
+          [&](Rng* r) { return RandomDownwardTree(r, n, 1, bias); });
+      const ProbGraph instance = AttachRandomProbabilities(
+          &rng, RandomDisjointUnion(&rng, 3, [](Rng* r) {
+            return RandomPolytree(r, 12, 1);
+          }));
+      const PreparedProblem p = PrepareProblem(query, instance);
+      SCOPED_TRACE("dwt query, n=" + std::to_string(n));
+      ExpectCollapsedPathByConstruction(p);
+      dwt_lengths.insert(p.analysis.collapsed_length);
+    }
+  }
+  EXPECT_EQ(*dwt_lengths.begin(), 1);
+  EXPECT_GT(*dwt_lengths.rbegin(), 64);
+
+  // Prop. 3.6: graded queries outside ⊔DWT on ⊔DWT instances. Eight
+  // vertices per level keep every level populated, so the difference of
+  // levels runs from 1 past 64.
+  std::set<int64_t> graded_lengths;
+  for (const size_t levels : {2, 3, 4, 8, 16, 32, 63, 64, 65, 66, 70}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const DiGraph query = RandomGradedDag(&rng, 8 * levels, levels, 0.7, 1);
+      if (query.num_edges() == 0 || Classify(query).all_dwt) continue;
+      const ProbGraph instance = AttachRandomProbabilities(
+          &rng, RandomDisjointUnion(&rng, 3, [](Rng* r) {
+            return RandomDownwardTree(r, 12, 1);
+          }));
+      const PreparedProblem p = PrepareProblem(query, instance);
+      SCOPED_TRACE("graded query, levels=" + std::to_string(levels));
+      ExpectCollapsedPathByConstruction(p);
+      graded_lengths.insert(p.analysis.collapsed_length);
+    }
+  }
+  ASSERT_FALSE(graded_lengths.empty());
+  EXPECT_EQ(*graded_lengths.begin(), 1);
+  EXPECT_GT(*graded_lengths.rbegin(), 64);
 }
 
 TEST(Case, NonGradedQueryOnForestIsImmediateZero) {

@@ -3,13 +3,16 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/eval_session.h"
 #include "src/core/solver.h"
 #include "src/graph/builders.h"
 #include "src/graph/generators.h"
+#include "src/lifted/lift.h"
 #include "src/serve/executor.h"
 #include "src/serve/mpmc_queue.h"
 #include "tests/test_util.h"
@@ -115,8 +118,6 @@ TEST(ComponentwiseSolve, MatchesSolvePreparedBitForBit) {
   ASSERT_EQ(dispatch.components, 3u) << "three components must fan out";
   ASSERT_NE(dispatch.engine, nullptr);
   EXPECT_FALSE(dispatch.forced);
-  EXPECT_EQ(PreparedComponentParallelism(prepared, options),
-            dispatch.components);
 
   std::vector<Result<SolveResult>> parts;
   for (size_t c = 0; c < dispatch.components; ++c) {
@@ -140,30 +141,107 @@ TEST(ComponentwiseSolve, MatchesSolvePreparedBitForBit) {
   EXPECT_EQ(merged->stats.match_ends, serial->stats.match_ends);
 }
 
+/// The two part shapes of a componentwise merge, each with three parts: a
+/// CQ over three instance components, and a UCQ over three plan units.
+std::vector<std::pair<std::string, PreparedProblem>> ThreePartProblems() {
+  Rng rng(20260729);
+  std::vector<std::pair<std::string, PreparedProblem>> out;
+  out.emplace_back("cq components",
+                   PrepareProblem(MakeLabeledPath({0, 1}), MixedInstance(&rng)));
+  ProbGraph labels(6);
+  for (LabelId l = 0; l < 3; ++l) {
+    AddEdgeOrDie(&labels, 2 * l, 2 * l + 1, l, Rational::Half());
+  }
+  Ucq ucq;
+  for (LabelId l = 0; l < 3; ++l) ucq.disjuncts.push_back(MakeLabeledPath({l}));
+  out.emplace_back("ucq units", lifted::PrepareUcq(ucq, labels));
+  return out;
+}
+
+/// A hand-built part: the enclosure [lo, hi] with the given certificate.
+SolveResult IntervalPart(double lo, double hi, bool certified) {
+  SolveResult part;
+  part.numeric = NumericBackend::kIntervalDouble;
+  part.probability_double = 0.5 * (lo + hi);
+  part.bound = ProbabilityBound{lo, hi, certified};
+  return part;
+}
+
+TEST(ComponentwiseSolve, UncertifiedPartUncertifiesMergedInterval) {
+  SolveOptions options;
+  options.numeric = NumericBackend::kIntervalDouble;
+  using Ops = NumericOps<IntervalDouble>;
+  for (const auto& [label, prepared] : ThreePartProblems()) {
+    SCOPED_TRACE(label);
+    const ComponentDispatch dispatch = PlanComponentDispatch(prepared, options);
+    ASSERT_EQ(dispatch.components, 3u);
+    for (const size_t uncertified : {size_t{0}, size_t{1}, size_t{3}}) {
+      std::vector<Result<SolveResult>> parts;
+      IntervalDouble none = Ops::One();
+      for (size_t i = 0; i < 3; ++i) {
+        const double lo = 0.1 * static_cast<double>(i + 1);
+        const double hi = lo + 0.05;
+        parts.push_back(IntervalPart(lo, hi, i != uncertified));
+        none *= Ops::Complement(IntervalDouble(lo, hi));
+      }
+      const IntervalDouble fold = Ops::Complement(none);
+      Result<SolveResult> merged = CombinePreparedComponents(
+          prepared, dispatch, options, std::move(parts));
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      // Part 3 does not exist: every part is certified, and so is the merge.
+      EXPECT_EQ(merged->bound.certified, uncertified == 3);
+      EXPECT_EQ(std::bit_cast<uint64_t>(merged->bound.lo),
+                std::bit_cast<uint64_t>(fold.lo));
+      EXPECT_EQ(std::bit_cast<uint64_t>(merged->bound.hi),
+                std::bit_cast<uint64_t>(fold.hi));
+    }
+  }
+}
+
+TEST(ComponentwiseSolve, MergeReturnsFirstFailingPartStatus) {
+  const SolveOptions options;
+  for (const auto& [label, prepared] : ThreePartProblems()) {
+    SCOPED_TRACE(label);
+    const ComponentDispatch dispatch = PlanComponentDispatch(prepared, options);
+    ASSERT_EQ(dispatch.components, 3u);
+    SolveResult ok;
+    ok.probability = Rational::Half();
+    std::vector<Result<SolveResult>> parts;
+    parts.emplace_back(ok);
+    parts.emplace_back(Status::Cancelled("part 1"));
+    parts.emplace_back(Status::DeadlineExceeded("part 2"));
+    Result<SolveResult> merged = CombinePreparedComponents(
+        prepared, dispatch, options, std::move(parts));
+    ASSERT_FALSE(merged.ok());
+    EXPECT_EQ(merged.status().code(), Status::Code::kCancelled);
+    EXPECT_EQ(merged.status().message(), "part 1");
+  }
+}
+
 TEST(ComponentwiseSolve, NonComponentwiseDispatchesReportZero) {
   Rng rng(7);
   // Single-component instance: nothing to fan out.
   ProbGraph one = AttachRandomProbabilities(
       &rng, RandomTwoWayPath(&rng, 6, 1), 3);
   PreparedProblem prepared = PrepareProblem(MakeOneWayPath(2), one);
-  EXPECT_EQ(PreparedComponentParallelism(prepared, SolveOptions{}), 0u);
+  EXPECT_EQ(PlanComponentDispatch(prepared, SolveOptions{}).components, 0u);
 
   // Immediate answers never fan out.
   ProbGraph multi = MixedInstance(&rng);
   PreparedProblem trivial = PrepareProblem(DiGraph(2), multi);
-  EXPECT_EQ(PreparedComponentParallelism(trivial, SolveOptions{}), 0u);
+  EXPECT_EQ(PlanComponentDispatch(trivial, SolveOptions{}).components, 0u);
 
   // Whole-forest kernels (unlabeled DWT collapse) are not componentwise.
   SolveOptions forced;
   forced.force_engine = "monte-carlo";
   PreparedProblem labeled = PrepareProblem(MakeLabeledPath({0, 1}), multi);
-  EXPECT_EQ(PreparedComponentParallelism(labeled, forced), 0u)
+  EXPECT_EQ(PlanComponentDispatch(labeled, forced).components, 0u)
       << "estimators solve the prepared problem whole";
 
   // Selection errors surface through SolvePrepared, not the parallel path.
   SolveOptions typo;
   typo.force_engine = "no-such-engine";
-  EXPECT_EQ(PreparedComponentParallelism(labeled, typo), 0u);
+  EXPECT_EQ(PlanComponentDispatch(labeled, typo).components, 0u);
 }
 
 // ---------------------------------------------------------------------------
